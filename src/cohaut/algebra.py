@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Q = Fraction
 ZERO = Q(0)
@@ -293,37 +293,111 @@ class Polynomial:
 
 def multiply(a: Polynomial, b: Polynomial) -> Polynomial:
     """Graded-commutative product (bilinear, Koszul signs)."""
-    acc: dict[Monomial, Fraction] = {}
-    for ma, ca in a._terms.items():
-        for mb, cb in b._terms.items():
-            canon = canonicalize(ma.factors + mb.factors)
-            if canon is None:
-                continue
-            sign, mono = canon
-            c = acc.get(mono, ZERO) + sign * ca * cb
-            if c:
-                acc[mono] = c
-            else:
-                acc.pop(mono, None)
-    return Polynomial(acc)
-
-
-def power(p: Polynomial, n: int) -> Polynomial:
-    if n < 0:
-        raise AlgebraError("negative power")
-    result = Polynomial.unit()
-    for _ in range(n):
-        result = multiply(result, p)
-    return result
+    gens = _sorted_gens({g for p in (a, b) for m in p._terms for g, _ in m.factors})
+    index = {g: i for i, g in enumerate(gens)}
+    odd = tuple(g.is_odd for g in gens)
+    ca, cb = ({_encode(index, m): c for m, c in p._terms.items()} for p in (a, b))
+    prod = _mul_poly_coded(odd, ca, cb)
+    return Polynomial({_decode(gens, m): c for m, c in prod.items()})
 
 
 def _sorted_gens(generators: Iterable[Generator]) -> tuple[Generator, ...]:
     return tuple(sorted(generators, key=lambda g: g.sort_key))
 
 
-@lru_cache(maxsize=64)
-def _reach_table(degs: tuple[int, ...], dmax: int) -> tuple[bytes, ...]:
-    """reach[i][m] == 1 iff degree m is a sum over generators i.. (odd <= 1)."""
+# --- the coded kernel ---------------------------------------------------------
+#
+# Internally monomials are coded as flat int tuples (g0, e0, g1, e1, ...) over
+# the indices of a sorted generator tuple; coding keeps hashing and slicing
+# cheap.  The product, the Leibniz differential (model.py) and the degree-wise
+# bases all run on this coding; Monomial and Polynomial are its public views.
+
+Coded = tuple[int, ...]  # flat (gen index, exponent) pairs
+
+
+def _encode(index: Mapping[Generator, int], m: Monomial) -> Coded:
+    """Code of a canonical monomial; KeyError(g) for a generator not in index."""
+    out: list[int] = []
+    for g, e in m.factors:
+        out.append(index[g])
+        out.append(e)
+    return tuple(out)
+
+
+def _decode(gens: Sequence[Generator], coded: Coded) -> Monomial:
+    return Monomial(
+        tuple((gens[coded[i]], coded[i + 1]) for i in range(0, len(coded), 2))
+    )
+
+
+def _mul_coded(odd: Sequence[bool], a: Coded, b: Coded) -> tuple[int, Coded | None]:
+    """Merge two coded words; returns (Koszul sign, word) or (0, None)."""
+    if not a:
+        return 1, b
+    if not b:
+        return 1, a
+    la = len(a)
+    lb = len(b)
+    # odd_tail[i] = number of odd letters of a at flat position >= i
+    odd_tail = [0] * (la // 2 + 1)
+    for k in range(la - 2, -2, -2):
+        odd_tail[k // 2] = odd_tail[k // 2 + 1] + (1 if odd[a[k]] else 0)
+    res: list[int] = []
+    sign = 1
+    i = j = 0
+    while i < la or j < lb:
+        if j >= lb or (i < la and a[i] < b[j]):
+            res.append(a[i])
+            res.append(a[i + 1])
+            i += 2
+        elif i >= la or b[j] < a[i]:
+            g = b[j]
+            if odd[g] and odd_tail[i // 2] % 2:
+                sign = -sign
+            res.append(g)
+            res.append(b[j + 1])
+            j += 2
+        else:
+            g = a[i]
+            if odd[g]:
+                return 0, None
+            res.append(g)
+            res.append(a[i + 1] + b[j + 1])
+            i += 2
+            j += 2
+    return sign, tuple(res)
+
+
+def _mul_poly_coded(
+    odd: Sequence[bool], a: Mapping[Coded, Fraction], b: Mapping[Coded, Fraction]
+) -> dict[Coded, Fraction]:
+    """Product of two coded polynomials (word -> coefficient maps)."""
+    acc: dict[Coded, Fraction] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            sign, m = _mul_coded(odd, ma, mb)
+            if sign:
+                c = acc.get(m, ZERO) + sign * ca * cb
+                if c:
+                    acc[m] = c
+                else:
+                    acc.pop(m, None)
+    return acc
+
+
+_REACH: dict[tuple[int, ...], tuple[bytes, ...]] = {}
+
+
+def _reach(degs: tuple[int, ...], dmax: int) -> tuple[bytes, ...]:
+    """reach[i][m] == 1 iff degree m is a sum over generators i.. (odd <= 1).
+
+    One table per degree tuple, at least up to degree 128, rebuilt larger
+    when a higher degree is asked for.
+    """
+    table = _REACH.get(degs)
+    if table is not None and len(table[0]) > dmax:
+        return table
+    dmax = max(dmax, 128)
     n = len(degs)
     reach = [bytearray(dmax + 1) for _ in range(n + 1)]
     reach[n][0] = 1
@@ -342,7 +416,49 @@ def _reach_table(degs: tuple[int, ...], dmax: int) -> tuple[bytes, ...]:
                     v = prev[k]
                     k -= d
                 cur[m] = v
-    return tuple(bytes(r) for r in reach)
+    if len(_REACH) >= 64:  # bound the cache; clear() is atomic for threads
+        _REACH.clear()
+    table = _REACH[degs] = tuple(bytes(r) for r in reach)
+    return table
+
+
+def _enumerate(degs: tuple[int, ...], degree: int) -> tuple[Coded, ...]:
+    """Coded monomials of degree `degree >= 0` in basis order (see iter_basis)."""
+    reach = _reach(degs, degree)
+    n = len(degs)
+    out: list[Coded] = []
+    stack: list[int] = []
+
+    def rec(i: int, rem: int) -> None:
+        if rem == 0:
+            out.append(tuple(stack))
+            return
+        if i == n or not reach[i][rem]:
+            return
+        d = degs[i]
+        if d % 2:
+            if d <= rem and reach[i + 1][rem - d]:
+                stack.append(i)
+                stack.append(1)
+                rec(i + 1, rem - d)
+                del stack[-2:]
+            rec(i + 1, rem)
+        else:
+            nxt = reach[i + 1]
+            for e in range(rem // d, 0, -1):
+                if nxt[rem - e * d]:
+                    stack.append(i)
+                    stack.append(e)
+                    rec(i + 1, rem - e * d)
+                    del stack[-2:]
+            if nxt[rem]:
+                rec(i + 1, rem)
+
+    rec(0, degree)
+    return tuple(out)
+
+
+# --- bases and coordinates ----------------------------------------------------
 
 
 def iter_basis(
@@ -356,34 +472,8 @@ def iter_basis(
     if degree < 0:
         raise AlgebraError("negative degree")
     gens = _sorted_gens(generators)
-    degs = tuple(g.degree for g in gens)
-    reach = _reach_table(degs, degree)
-    n = len(gens)
-    stack: list[tuple[Generator, int]] = []
-
-    def rec(i: int, rem: int) -> Iterator[Monomial]:
-        if rem == 0:
-            yield Monomial(tuple(stack))
-            return
-        if i == n or not reach[i][rem]:
-            return
-        d = degs[i]
-        if d % 2:
-            if d <= rem and reach[i + 1][rem - d]:
-                stack.append((gens[i], 1))
-                yield from rec(i + 1, rem - d)
-                stack.pop()
-            yield from rec(i + 1, rem)
-        else:
-            for e in range(rem // d, 0, -1):
-                if reach[i + 1][rem - e * d]:
-                    stack.append((gens[i], e))
-                    yield from rec(i + 1, rem - e * d)
-                    stack.pop()
-            if reach[i + 1][rem]:
-                yield from rec(i + 1, rem)
-
-    yield from rec(0, degree)
+    for coded in _enumerate(tuple(g.degree for g in gens), degree):
+        yield _decode(gens, coded)
 
 
 @lru_cache(maxsize=256)

@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .algebra import Generator, Polynomial, Q, multiply, power
+from .algebra import Generator, Polynomial, Q
 from .cohomology import CohomologyClass, class_of, solve_coboundary
-from .model import CochainMorphism, SullivanModel
+from .model import CochainMorphism, SullivanModel, _extend
 
 
 class ShapeError(ValueError):
@@ -181,22 +181,6 @@ class LiftResult:
         return f"obstructed along canonical branch: {self.obstruction}"
 
 
-def _apply_images(
-    images: Mapping[str, Polynomial], p: Polynomial
-) -> Polynomial:
-    """Multiplicative extension of a partial generator-image table."""
-    out = Polynomial.zero()
-    for mono, coeff in p.terms():
-        term = Polynomial.unit(coeff)
-        for g, e in mono.factors:
-            img = images[g.name]
-            term = multiply(term, img if e == 1 else power(img, e))
-            if not term:
-                break
-        out = out + term
-    return out
-
-
 def induced_on_indecomposables(f: CochainMorphism) -> GradedLinearMap:
     """The graded linear map of linear parts of the generator images."""
     blocks: dict[int, list[list[Fraction]]] = {}
@@ -227,7 +211,8 @@ def try_lift(xi: GradedLinearMap) -> LiftResult:
     for v in source.generators:
         n1 = v.degree
         xi_v = xi.apply_gen(v)
-        rhs = _apply_images(images, source.d(Polynomial.generator(v))) - target.d(xi_v)
+        dv = source.d(Polynomial.generator(v))
+        rhs = _extend(source, target, images, dv) - target.d(xi_v)
         if rhs.is_zero():
             u = Polynomial.zero()
         else:
@@ -279,7 +264,7 @@ def invert_coherent(
     for w in xi.target.generators:
         lin = inv_xi.apply_gen(w)  # ξ^{-1}(w) in the source generators
         junk = theta.apply(lin) - Polynomial.generator(w)  # decomposable, lower gens
-        inv_images[w.name] = lin - _apply_images(inv_images, junk)
+        inv_images[w.name] = lin - _extend(xi.target, xi.source, inv_images, junk)
     inv_theta = CochainMorphism(xi.target, xi.source, inv_images)
     return inv_xi, inv_theta
 

@@ -12,9 +12,6 @@ All public results (dimensions, representative order, class coordinates) are
 deterministic.  Cohomology is computed per (model, degree) on demand and
 memoized with bounded caches; insertion uses atomic insert-if-absent
 semantics, so concurrent readers are safe.
-
-Internally monomials are coded as flat int tuples (g0, e0, g1, e1, ...) over
-the model's generator indices; coding keeps hashing and slicing cheap.
 """
 
 from __future__ import annotations
@@ -25,10 +22,8 @@ from fractions import Fraction
 from typing import Callable
 
 from . import linalg
-from .algebra import Monomial, Polynomial, Q
+from .algebra import Coded, Monomial, Polynomial, Q, _enumerate
 from .model import SullivanModel
-
-Coded = tuple[int, ...]  # flat (gen index, exponent) pairs
 
 _Q0 = Q(0)
 _Q1 = Q(1)
@@ -61,183 +56,21 @@ class _LRU:
 
 
 class _Complex:
-    """Integer-coded view of one model's cochain complex."""
+    """Cached bases, coboundary columns and windows of one model's cochain
+    complex, on the model's integer-coded view."""
 
     def __init__(self, model: SullivanModel):
         self.model = model
-        self.gens = model.generators
-        self.degs = tuple(g.degree for g in self.gens)
-        self.odd = tuple(g.degree % 2 == 1 for g in self.gens)
-        self._gi = {g.name: i for i, g in enumerate(self.gens)}
-        self.diff_coded: dict[int, list[tuple[Coded, Fraction]]] = {}
-        for i, g in enumerate(self.gens):
-            dg = model.differential(g)
-            if dg:
-                self.diff_coded[i] = [(self.encode(m), c) for m, c in dg.terms()]
+        self.view = model._coded
         self._bases = _LRU(8)
         self._indexes = _LRU(6)
         self._columns = _LRU(6)
         self._windows = _LRU(4)
-        self._reach: tuple[bytes, ...] | None = None
-        self._reach_max = -1
-
-    # -- coding ----------------------------------------------------------------
-
-    def encode(self, m: Monomial) -> Coded:
-        out: list[int] = []
-        for g, e in m.factors:
-            out.append(self._gi[g.name])
-            out.append(e)
-        return tuple(out)
-
-    def decode(self, coded: Coded) -> Monomial:
-        return Monomial(
-            tuple((self.gens[coded[i]], coded[i + 1]) for i in range(0, len(coded), 2))
-        )
-
-    def degree_of(self, coded: Coded) -> int:
-        degs = self.degs
-        return sum(degs[coded[i]] * coded[i + 1] for i in range(0, len(coded), 2))
-
-    def mul_coded(self, a: Coded, b: Coded) -> tuple[int, Coded | None]:
-        """Merge two coded words; returns (Koszul sign, word) or (0, None)."""
-        if not a:
-            return 1, b
-        if not b:
-            return 1, a
-        odd = self.odd
-        la = len(a)
-        lb = len(b)
-        # odd_tail[i] = number of odd letters of a at flat position >= i
-        odd_tail = [0] * (la // 2 + 1)
-        for k in range(la - 2, -2, -2):
-            odd_tail[k // 2] = odd_tail[k // 2 + 1] + (1 if odd[a[k]] else 0)
-        res: list[int] = []
-        sign = 1
-        i = j = 0
-        while i < la or j < lb:
-            if j >= lb or (i < la and a[i] < b[j]):
-                res.append(a[i])
-                res.append(a[i + 1])
-                i += 2
-            elif i >= la or b[j] < a[i]:
-                g = b[j]
-                if odd[g] and odd_tail[i // 2] % 2:
-                    sign = -sign
-                res.append(g)
-                res.append(b[j + 1])
-                j += 2
-            else:
-                g = a[i]
-                if odd[g]:
-                    return 0, None
-                res.append(g)
-                res.append(a[i + 1] + b[j + 1])
-                i += 2
-                j += 2
-        return sign, tuple(res)
-
-    def d_coded(self, mono: Coded) -> dict[Coded, Fraction]:
-        """Coded Leibniz differential of a coded monomial."""
-        diff = self.diff_coded
-        degs = self.degs
-        odd = self.odd
-        out: dict[Coded, Fraction] = {}
-        prefix_deg = 0
-        for pos in range(0, len(mono), 2):
-            g = mono[pos]
-            dg = diff.get(g)
-            if dg is not None:
-                e = mono[pos + 1]
-                sign = -1 if prefix_deg % 2 else 1
-                if odd[g]:
-                    rest = mono[:pos] + mono[pos + 2 :]
-                    head = sign
-                else:
-                    rest = (
-                        mono[:pos] + (g, e - 1) + mono[pos + 2 :]
-                        if e > 1
-                        else mono[:pos] + mono[pos + 2 :]
-                    )
-                    head = sign * e
-                for dmon, c in dg:
-                    s2, m2 = self.mul_coded(rest, dmon)
-                    if s2:
-                        acc = out.get(m2)
-                        val = (acc if acc is not None else 0) + head * s2 * c
-                        if val:
-                            out[m2] = val
-                        elif acc is not None:
-                            del out[m2]
-            prefix_deg += degs[mono[pos]] * mono[pos + 1]
-        return out
-
-    # -- bases -----------------------------------------------------------------
-
-    def _reach_table(self, dmax: int):
-        if self._reach is None or dmax > self._reach_max:
-            dmax = max(dmax, 128)
-            n = len(self.degs)
-            reach = [bytearray(dmax + 1) for _ in range(n + 1)]
-            reach[n][0] = 1
-            for i in range(n - 1, -1, -1):
-                d = self.degs[i]
-                prev = reach[i + 1]
-                cur = reach[i]
-                if d % 2:
-                    for m in range(dmax + 1):
-                        cur[m] = prev[m] or (m >= d and prev[m - d])
-                else:
-                    for m in range(dmax + 1):
-                        v = prev[m]
-                        k = m - d
-                        while not v and k >= 0:
-                            v = prev[k]
-                            k -= d
-                        cur[m] = v
-            self._reach = tuple(bytes(r) for r in reach)
-            self._reach_max = dmax
-        return self._reach
-
-    def _build_basis(self, degree: int) -> tuple[Coded, ...]:
-        reach = self._reach_table(degree)
-        degs = self.degs
-        n = len(degs)
-        out: list[Coded] = []
-        stack: list[int] = []
-
-        def rec(i: int, rem: int) -> None:
-            if rem == 0:
-                out.append(tuple(stack))
-                return
-            if i == n or not reach[i][rem]:
-                return
-            d = degs[i]
-            if d % 2:
-                if d <= rem and reach[i + 1][rem - d]:
-                    stack.append(i)
-                    stack.append(1)
-                    rec(i + 1, rem - d)
-                    del stack[-2:]
-                rec(i + 1, rem)
-            else:
-                nxt = reach[i + 1]
-                for e in range(rem // d, 0, -1):
-                    if nxt[rem - e * d]:
-                        stack.append(i)
-                        stack.append(e)
-                        rec(i + 1, rem - e * d)
-                        del stack[-2:]
-                if nxt[rem]:
-                    rec(i + 1, rem)
-
-        rec(0, degree)
-        return tuple(out)
 
     def basis(self, degree: int) -> tuple[Coded, ...]:
         if degree < 0:
             return ()
-        return self._bases.get_or_create(degree, lambda: self._build_basis(degree))
+        return self._bases.get_or_create(degree, lambda: _enumerate(self.view.degs, degree))
 
     def index(self, degree: int) -> dict[Coded, int]:
         def build():
@@ -253,10 +86,10 @@ class _Complex:
         return self._columns.get_or_create(degree, lambda: self._build_columns(degree))
 
     def _build_columns(self, degree: int) -> dict[int, list[tuple[int, Fraction]]]:
-        active = self.diff_coded
+        active = self.view.diff
         idx_up = self.index(degree + 1)
         cols: dict[int, list[tuple[int, Fraction]]] = {}
-        d_coded = self.d_coded
+        d_coded = self.view.d_coded
         for i, mono in enumerate(self.basis(degree)):
             hit = False
             for p in range(0, len(mono), 2):
@@ -602,7 +435,7 @@ class CohomologyBasis:
     def representative(self, i: int) -> Polynomial:
         vec = self._window.representative_vec(i)
         b = self._cx.basis(self.degree)
-        return Polynomial({self._cx.decode(b[idx]): c for idx, c in vec.items()})
+        return Polynomial({self._cx.view.decode(b[idx]): c for idx, c in vec.items()})
 
     def representatives(self) -> list[Polynomial]:
         return [self.representative(i) for i in range(self.dimension)]
@@ -615,7 +448,7 @@ class CohomologyBasis:
         if self.model.d(p):
             raise NotACocycle(f"d(p) = {self.model.d(p)} != 0")
         index = self._cx.index(self.degree)
-        vec = {index[self._cx.encode(m)]: c for m, c in p.terms()}
+        vec = {index[self._cx.view.encode(m)]: c for m, c in p.terms()}
         return CohomologyClass(self, self._window.class_of_vec(vec))
 
     def linear_parts(self) -> dict[int, dict[str, Fraction]]:
@@ -631,7 +464,7 @@ class CohomologyBasis:
         out: dict[int, dict[str, Fraction]] = {}
         win = self._window
         for g in gens:
-            gidx = index[self._cx.encode(Monomial(((g, 1),)))]
+            gidx = index[self._cx.view.encode(Monomial(((g, 1),)))]
             cid = win.comp_of_k.get(gidx)
             if cid is None:
                 out.setdefault(win.inert_pos[gidx], {})[g.name] = _Q1
@@ -714,7 +547,7 @@ def image_rank_outside_cutoff(m: SullivanModel, k: int, cutoff: int) -> int:
     cx = complex_for(m)
     win = cx.window(k)
     basis_k = cx.basis(k)
-    degs = cx.degs
+    degs = cx.view.degs
 
     def keep(idx: int) -> bool:  # True: row lies inside Lambda V^{<=cutoff}
         mono = basis_k[idx]
@@ -732,14 +565,14 @@ def solve_coboundary(m: SullivanModel, k: int, rhs: Polynomial) -> Polynomial | 
     cx = complex_for(m)
     index = cx.index(k)
     try:
-        vec = {index[cx.encode(mono)]: c for mono, c in rhs.terms()}
+        vec = {index[cx.view.encode(mono)]: c for mono, c in rhs.terms()}
     except KeyError:
         raise ValueError("rhs contains monomials outside the model")
     u = cx.window(k).solve_preimage_vec(vec)
     if u is None:
         return None
     b = cx.basis(k - 1)
-    return Polynomial({cx.decode(b[i]): c for i, c in u.items()})
+    return Polynomial({cx.view.decode(b[i]): c for i, c in u.items()})
 
 
 def induced_map(f, k: int) -> list[list[Fraction]]:
@@ -762,7 +595,7 @@ def pair_cohomology_dim(m: SullivanModel, n: int, k: int) -> int:
     """
     sub = m.truncate(n + 1)
     cx = complex_for(sub)
-    degs = cx.degs
+    degs = cx.view.degs
 
     def in_quotient(mono: Coded) -> bool:
         return any(n - 1 < degs[mono[p]] <= n + 1 for p in range(0, len(mono), 2))

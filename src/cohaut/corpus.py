@@ -6,7 +6,7 @@ V-ex31 and its extensions:
   * U1..U8: the tower as written, adding x3, x4, x5, x6, x15, x20, x30, x60 in
     turn.  Odd-degree powers (x3^40, x5^20, x15^8) normalize to zero and are
     recorded as warnings; x5^20 also has the wrong total degree (100, not 120),
-    so U3 is built by raw term insertion rather than extend_tower.
+    which extend_tower rejects, so the U steps insert their terms directly.
   * E2..E7: the even tower.  E2 is W-ex32 relabeled (the rank-2 base); E3..E7
     successively add (4,30), (6,20), (20,6), (30,4), (60,2).  Every step is a
     legal extend_tower call and every added term survives, so the coherent
@@ -15,8 +15,8 @@ V-ex31 and its extensions:
 
 from __future__ import annotations
 
-from .algebra import Generator, Polynomial, Q
-from .model import ModelError, SullivanModel, extend_tower
+from .algebra import Generator
+from .model import ModelError, SullivanModel, _add_tower_term, extend_tower
 
 V_EX31_SOURCE = """\
 # Arkowitz-Lupton style example: six generators, rank-1 automorphism group
@@ -32,32 +32,6 @@ d y2 = x1^2*x2^2;
 d y3 = x1*x2^3;
 d z = y1*y2*x2^3 - y1*y3*x1*x2^2 + y2*y3*x1^2*x2 + x1^12 + x2^10;
 """
-
-
-def _add_raw_term(
-    m: SullivanModel, closing: str, gen_name: str, degree: int, exponent: int, label: str
-) -> SullivanModel:
-    """Tower step that tolerates degree-slips: the added power is inserted as a
-    raw term (it must normalize to zero whenever its degree is wrong)."""
-    new_gen = Generator(gen_name, degree)
-    z = m.generator(closing)
-    raw = [(c, mono.factors) for mono, c in m.differential(z).terms()]
-    raw.append((Q(1), ((new_gen, exponent),)))
-    dz, vanished = Polynomial.from_raw_terms(raw)
-    if degree * exponent != z.degree + 1 and not vanished:
-        raise ModelError(
-            f"raw tower step {gen_name}^{exponent} would break homogeneity"
-        )
-    warnings = list(m.warnings)
-    for mono in vanished:
-        warnings.append(
-            f"term {mono} in d({z.name}) normalized to zero (odd generator power)"
-        )
-    diff = {g.name: m.differential(g) for g in m.generators if m.differential(g)}
-    diff[z.name] = dz
-    return SullivanModel(
-        m.generators + (new_gen,), diff, label=label, warnings=warnings
-    )
 
 
 def _build_v() -> SullivanModel:
@@ -94,10 +68,11 @@ _E_STEPS = [
 def _build_u(i: int) -> SullivanModel:
     m = _build_w()
     for step, (name, degree, exponent) in enumerate(_U_STEPS[:i], start=1):
-        if degree * exponent == m.generator("z").degree + 1:
-            m = extend_tower(m, "z", degree, exponent, name=name, label=f"U{step}")
-        else:
-            m = _add_raw_term(m, "z", name, degree, exponent, label=f"U{step}")
+        z = m.generator("z")
+        # a degree slip is harmless only when the added term vanishes
+        if degree * exponent != z.degree + 1 and not (degree % 2 and exponent >= 2):
+            raise ModelError(f"raw tower step {name}^{exponent} would break homogeneity")
+        m = _add_tower_term(m, z, Generator(name, degree), exponent, f"U{step}")
     return m
 
 

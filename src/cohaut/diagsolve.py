@@ -138,7 +138,7 @@ def _residues_independent(m: SullivanModel, k: int, monos: list[Monomial]) -> bo
     index = cx.index(k)
     residues: list[dict[int, Fraction]] = []
     for mono in monos:
-        idx = index[cx.encode(mono)]
+        idx = index[cx.view.encode(mono)]
         cid = win.comp_of_k.get(idx)
         if cid is None:
             residues.append({idx: Q(1)})

@@ -41,10 +41,6 @@ def matvec(a: Matrix, v: Sequence[Fraction]) -> Vector:
     return [sum((x * y for x, y in zip(row, v)), Q(0)) for row in a]
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def rref(m: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int], int]:
     """Reduced row-echelon form; returns (reduced, pivot columns, rank)."""
     a = [list(row) for row in m]

@@ -9,18 +9,24 @@ differential), ignoring the label, so equal truncations share caches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .algebra import (
+    ONE,
+    ZERO,
+    Coded,
     Generator,
     Monomial,
     Polynomial,
     Q,
+    _decode,
+    _encode,
+    _mul_coded,
+    _mul_poly_coded,
     basis,
     coordinates,
     iter_basis,
-    multiply,
-    power,
 )
 
 
@@ -58,7 +64,7 @@ class ValidationReport:
 class SullivanModel:
     """The pair (ΛV, d): free graded-commutative algebra with differential."""
 
-    __slots__ = ("generators", "label", "warnings", "_diff", "_by_name", "_key", "_hash")
+    __slots__ = ("generators", "label", "warnings", "_diff", "_by_name", "_key", "_hash", "_view")
 
     def __init__(
         self,
@@ -90,6 +96,7 @@ class SullivanModel:
             ),
         )
         self._hash = hash(self._key)
+        self._view: _CodedModel | None = None
 
     # -- identity ------------------------------------------------------------
 
@@ -141,36 +148,23 @@ class SullivanModel:
 
     # -- the differential as a derivation ------------------------------------
 
+    @property
+    def _coded(self) -> "_CodedModel":
+        """The integer-coded view, built on first use."""
+        view = self._view
+        if view is None:
+            view = self._view = _CodedModel(self)
+        return view
+
     def d(self, p: Polynomial) -> Polynomial:
         """Leibniz extension: d(ab) = d(a) b + (-1)^|a| a d(b)."""
         if p and not p.is_homogeneous():
             raise ModelError("apply_differential needs a homogeneous polynomial")
-        out = Polynomial.zero()
+        view = self._coded
+        acc: dict[Coded, Fraction] = {}
         for mono, coeff in p.terms():
-            out = out + coeff * self._d_monomial(mono)
-        return out
-
-    def _d_monomial(self, mono: Monomial) -> Polynomial:
-        out = Polynomial.zero()
-        prefix_deg = 0
-        for i, (g, e) in enumerate(mono.factors):
-            dg = self._diff.get(g.name)
-            if dg is not None:
-                sign = -1 if prefix_deg % 2 else 1
-                if g.is_odd:
-                    rest = mono.factors[:i] + mono.factors[i + 1 :]
-                    head = Q(sign)
-                else:
-                    rest = (
-                        mono.factors[:i]
-                        + ((g, e - 1),) * (e > 1)
-                        + mono.factors[i + 1 :]
-                    )
-                    head = Q(sign * e)
-                term = multiply(Polynomial.monomial(Monomial(rest), head), dg)
-                out = out + term
-            prefix_deg += g.degree * e
-        return out
+            _add_scaled(acc, coeff, view.d_coded(view.encode(mono)))
+        return Polynomial({view.decode(m): c for m, c in acc.items()})
 
     # -- construction helpers --------------------------------------------------
 
@@ -234,6 +228,87 @@ class SullivanModel:
         return ValidationReport(self.label, tuple(checks), self.warnings)
 
 
+class _CodedModel:
+    """Integer-coded view of one model: generator index, degrees, parities and
+    the coded differential (see the coded kernel in algebra.py)."""
+
+    __slots__ = ("label", "gens", "degs", "odd", "index", "diff")
+
+    def __init__(self, model: SullivanModel):
+        self.label = model.label
+        self.gens = model.generators
+        self.degs = tuple(g.degree for g in self.gens)
+        self.odd = tuple(g.degree % 2 == 1 for g in self.gens)
+        self.index = {g: i for i, g in enumerate(self.gens)}
+        self.diff: dict[int, list[tuple[Coded, Fraction]]] = {}
+        for i, g in enumerate(self.gens):
+            dg = model._diff.get(g.name)
+            if dg:
+                self.diff[i] = [(self.encode(m), c) for m, c in dg.terms()]
+
+    def encode(self, m: Monomial) -> Coded:
+        try:
+            return _encode(self.index, m)
+        except KeyError as exc:
+            raise ModelError(
+                f"generator {exc.args[0].name} is not in {self.label}"
+            ) from None
+
+    def encode_poly(self, p: Polynomial) -> dict[Coded, Fraction]:
+        return {self.encode(m): c for m, c in p.terms()}
+
+    def decode(self, coded: Coded) -> Monomial:
+        return _decode(self.gens, coded)
+
+    def d_coded(self, mono: Coded) -> dict[Coded, Fraction]:
+        """Coded Leibniz differential of a coded monomial."""
+        diff = self.diff
+        degs = self.degs
+        odd = self.odd
+        mul = _mul_coded
+        out: dict[Coded, Fraction] = {}
+        prefix_deg = 0
+        for pos in range(0, len(mono), 2):
+            g = mono[pos]
+            dg = diff.get(g)
+            if dg is not None:
+                e = mono[pos + 1]
+                sign = -1 if prefix_deg % 2 else 1
+                if odd[g]:
+                    rest = mono[:pos] + mono[pos + 2 :]
+                    head = sign
+                else:
+                    rest = (
+                        mono[:pos] + (g, e - 1) + mono[pos + 2 :]
+                        if e > 1
+                        else mono[:pos] + mono[pos + 2 :]
+                    )
+                    head = sign * e
+                for dmon, c in dg:
+                    s2, m2 = mul(odd, rest, dmon)
+                    if s2:
+                        acc = out.get(m2)
+                        val = (acc if acc is not None else 0) + head * s2 * c
+                        if val:
+                            out[m2] = val
+                        elif acc is not None:
+                            del out[m2]
+            prefix_deg += degs[mono[pos]] * mono[pos + 1]
+        return out
+
+
+def _add_scaled(
+    acc: dict[Coded, Fraction], coeff: Fraction, terms: Mapping[Coded, Fraction]
+) -> None:
+    """acc += coeff * terms, dropping coefficients that cancel."""
+    for m, c in terms.items():
+        v = acc.get(m, ZERO) + coeff * c
+        if v:
+            acc[m] = v
+        else:
+            acc.pop(m, None)
+
+
 def apply_differential(m: SullivanModel, p: Polynomial) -> Polynomial:
     return m.d(p)
 
@@ -267,7 +342,19 @@ def extend_tower(
             name = f"x{new_degree}_2"
     if name in {g.name for g in m.generators}:
         raise ModelError(f"generator name {name} already used")
-    new_gen = Generator(name, new_degree)
+    return _add_tower_term(
+        m, z, Generator(name, new_degree), exponent, label or f"{m.label}-{name}-{exponent}"
+    )
+
+
+def _add_tower_term(
+    m: SullivanModel, z: Generator, new_gen: Generator, exponent: int, label: str
+) -> SullivanModel:
+    """Add the closed generator new_gen and the raw term new_gen^exponent to d(z).
+
+    A term that normalizes to zero (odd generator power) is dropped and
+    recorded as a warning.  Callers check the degrees.
+    """
     raw = [(c, mono.factors) for mono, c in m.differential(z).terms()]
     raw.append((Q(1), ((new_gen, exponent),)))
     dz, vanished = Polynomial.from_raw_terms(raw)
@@ -278,12 +365,7 @@ def extend_tower(
         )
     diff = {g.name: m.differential(g) for g in m.generators if m.differential(g)}
     diff[z.name] = dz
-    return SullivanModel(
-        m.generators + (new_gen,),
-        diff,
-        label=label or f"{m.label}-{name}-{exponent}",
-        warnings=warnings,
-    )
+    return SullivanModel(m.generators + (new_gen,), diff, label=label, warnings=warnings)
 
 
 # --- cochain morphisms -------------------------------------------------------
@@ -323,7 +405,10 @@ class CochainMorphism:
             raise MorphismError(f"images given for unknown generators {sorted(extra)}")
         self.images = imgs
         for g in source.generators:
-            lhs = target.d(imgs[g.name])
+            try:
+                lhs = target.d(imgs[g.name])
+            except ModelError as exc:
+                raise MorphismError(f"image of {g.name}: {exc}") from None
             rhs = self.apply(source.differential(g))
             if lhs != rhs:
                 raise MorphismError(
@@ -333,16 +418,10 @@ class CochainMorphism:
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Multiplicative extension to arbitrary polynomials."""
-        out = Polynomial.zero()
-        for mono, coeff in p.terms():
-            term = Polynomial.unit(coeff)
-            for g, e in mono.factors:
-                img = self.images[g.name]
-                term = multiply(term, img if e == 1 else power(img, e))
-                if not term:
-                    break
-            out = out + term
-        return out
+        try:
+            return _extend(self.source, self.target, self.images, p)
+        except ModelError as exc:
+            raise MorphismError(str(exc)) from None
 
     def restrict(self, n: int) -> "CochainMorphism":
         """Restriction ΛV^{<=n} -> ΛW^{<=n} (valid because images preserve degree)."""
@@ -362,6 +441,36 @@ class CochainMorphism:
 
     def __repr__(self) -> str:
         return f"CochainMorphism({self.source.label} -> {self.target.label})"
+
+
+def _extend(
+    source: SullivanModel,
+    target: SullivanModel,
+    images: Mapping[str, Polynomial],
+    p: Polynomial,
+) -> Polynomial:
+    """θ(p) for the algebra map θ: ΛV -> ΛW given by generator images.
+
+    `images` maps names of source generators to target polynomials; a partial
+    table serves the stages of a lift, as long as p uses only its generators.
+    Each image is encoded once per call.
+    """
+    src, tgt = source._coded, target._coded
+    odd = tgt.odd
+    coded: dict[int, dict[Coded, Fraction]] = {}
+    acc: dict[Coded, Fraction] = {}
+    for mono, coeff in p.terms():
+        word = src.encode(mono)
+        term = {(): ONE}
+        for pos in range(0, len(word), 2):
+            i = word[pos]
+            img = coded.get(i)
+            if img is None:
+                img = coded[i] = tgt.encode_poly(images[src.gens[i].name])
+            for _ in range(word[pos + 1]):
+                term = _mul_poly_coded(odd, term, img)
+        _add_scaled(acc, coeff, term)
+    return Polynomial({tgt.decode(m): c for m, c in acc.items()})
 
 
 def identity(m: SullivanModel) -> CochainMorphism:

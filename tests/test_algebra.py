@@ -23,6 +23,8 @@ y1 = Generator("y1", 41)
 y2 = Generator("y2", 43)
 y3 = Generator("y3", 45)
 GENS = [x1, x2, y1, y2, y3]
+# generators the W-ex32 and U1 models add to V-ex31, mixed with two of V-ex31's
+TOWER_GENS = [Generator("x0", 2), Generator("x3", 3), x1, y2]
 
 
 def mono(*factors):
@@ -114,12 +116,12 @@ def test_multiply_mixed_square():
     )
 
 
-def _random_homogeneous(rng, degree_budget=90):
-    """A random homogeneous polynomial in GENS (possibly a single monomial)."""
+def _random_homogeneous(rng, degree_budget=90, gens=GENS):
+    """A random homogeneous polynomial in gens (possibly a single monomial)."""
     for _ in range(50):
         factors = []
         total = 0
-        for g in rng.sample(GENS, k=rng.randint(1, 3)):
+        for g in rng.sample(gens, k=rng.randint(1, 3)):
             e = 1 if g.is_odd else rng.randint(1, 3)
             if total + g.degree * e > degree_budget:
                 continue
@@ -145,6 +147,18 @@ def test_graded_commutativity_and_associativity():
         sign = -1 if (da % 2 and db % 2) else 1
         assert multiply(a, b) == sign * multiply(b, a)
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+        # the coded product agrees with canonicalize, also when the operands'
+        # generators come from different models (a union generator index)
+        e = _random_homogeneous(rng, gens=TOWER_GENS)
+        for p, q in ((a, b), (a, e), (e, c)):
+            (mp, cp), (mq, cq) = p.terms()[0], q.terms()[0]
+            canon = canonicalize(mp.factors + mq.factors)
+            mp_mq = multiply(Polynomial.monomial(mp), Polynomial.monomial(mq))
+            if canon is None:
+                assert mp_mq.is_zero()
+            else:
+                assert mp_mq == Polynomial.monomial(canon[1], canon[0])
+            assert multiply(p, q) == cp * cq * mp_mq
 
 
 # --- basis ----------------------------------------------------------------------

@@ -113,6 +113,22 @@ def test_d_squared_vanishes_on_basis_spans(V, W, U1):
                 assert m.d(m.d(P.monomial(monomial))).is_zero()
 
 
+def test_generators_outside_the_model_are_rejected(V, W):
+    x0 = W.generator("x0")
+    with pytest.raises(ModelError, match="x0"):
+        V.d(P.generator(x0))
+    # same name as a V-ex31 generator, other degree
+    with pytest.raises(ModelError, match="x1"):
+        V.d(P.generator(Generator("x1", 4)))
+    f = identity(V)
+    with pytest.raises(MorphismError, match="x0"):
+        f.apply(P.generator(x0) * P.generator(V.generator("x1")))
+    images = {g.name: P.generator(g) for g in V.generators}
+    images["x1"] = P.generator(Generator("q", 10))
+    with pytest.raises(MorphismError, match="q"):
+        CochainMorphism(V, V, images)
+
+
 def test_apply_differential_requires_homogeneous(V):
     x1, y1 = V.generator("x1"), V.generator("y1")
     with pytest.raises(ModelError):
@@ -219,6 +235,21 @@ def test_sign_automorphism_squares_to_identity(V):
     }
     f = CochainMorphism(V, V, images)
     assert compose(f, f) == identity(V)
+
+
+def test_morphisms_are_multiplicative(V, W):
+    rng = random.Random(31)
+    signs = {"x0": -1, "x2": -1, "y1": -1, "y3": -1}
+    for m in (V, W):
+        sign_aut = CochainMorphism(
+            m, m, {g.name: P.generator(g, signs.get(g.name, 1)) for g in m.generators}
+        )
+        degrees = [d for d in range(2, 100) if m.basis(d)]
+        for f in (identity(m), sign_aut):
+            for _ in range(40):
+                a = P.monomial(rng.choice(m.basis(rng.choice(degrees))), rng.choice([1, -2]))
+                b = P.monomial(rng.choice(m.basis(rng.choice(degrees))), Q(1, 3))
+                assert f.apply(a * b) == f.apply(a) * f.apply(b)
 
 
 def test_restrict_gives_stage_morphism(V):
