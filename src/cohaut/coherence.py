@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .algebra import Generator, Polynomial, Q
+from .algebra import Generator, Polynomial, Q, _enumerate
 from .cohomology import CohomologyClass, class_of, solve_coboundary
 from .model import CochainMorphism, SullivanModel, _extend
 
@@ -125,16 +125,6 @@ class GradedLinearMap:
         for d in degrees:
             blocks[d] = linalg.matmul(self.block(d), other.block(d))
         return GradedLinearMap(other.source, self.target, blocks)
-
-    def is_invertible(self) -> bool:
-        if sorted(g.degree for g in self.source.generators) != sorted(
-            g.degree for g in self.target.generators
-        ):
-            return False
-        for d in sorted({g.degree for g in self.source.generators}):
-            if linalg.inverse(self.block(d)) is None:
-                return False
-        return True
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedLinearMap):
@@ -309,6 +299,7 @@ def gap_report(m: SullivanModel) -> GapReport:
     """
     rows = []
     for d in sorted({g.degree for g in m.generators}):
-        gap = len(m.truncate(d - 1).basis(d))
+        below = tuple(g.degree for g in m.generators if g.degree < d)
+        gap = len(_enumerate(below, d))
         rows.append(GapRow(degree=d, gap_dim=gap, unique=gap == 0))
     return GapReport(m.label, tuple(rows))

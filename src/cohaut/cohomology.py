@@ -8,6 +8,11 @@ active monomials fall into small components on which dense exact elimination
 is cheap.  Dimensions need only the two boundary ranks per component, so the
 kernel and representative data are computed lazily, on first access.
 
+The filtration ΛV^{<=c} ⊂ ΛV has one quotient rank, `_Window.image_rank_outside`:
+the rank of the incoming differential followed by projection onto monomials
+with a factor of degree > c.  Both the Whitehead sequence's ker(i) and the
+cohomology of the pair (ΛV^{<=n+1}; ΛV^{<=n-1}) are computed from it.
+
 All public results (dimensions, representative order, class coordinates) are
 deterministic.  Cohomology is computed per (model, degree) on demand and
 memoized with bounded caches; insertion uses atomic insert-if-absent
@@ -112,6 +117,11 @@ _COMPLEXES = _LRU(32)
 
 def complex_for(model: SullivanModel) -> _Complex:
     return _COMPLEXES.get_or_create(model, lambda: _Complex(model))
+
+
+def _above(mono: Coded, degs: tuple[int, ...], cutoff: int) -> bool:
+    """True iff the coded monomial has a factor of degree > cutoff."""
+    return any(degs[mono[p]] > cutoff for p in range(0, len(mono), 2))
 
 
 class _Component:
@@ -352,59 +362,75 @@ class _Window:
 
     # -- queries ----------------------------------------------------------------
 
-    def class_of_vec(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Class coordinates (sparse, by class position) of a cocycle vector."""
-        out: dict[int, Fraction] = {}
-        by_comp: dict[int, dict[int, Fraction]] = {}
+    def _split(
+        self, vec: dict[int, Fraction]
+    ) -> tuple[dict[int, Fraction], list[tuple[int, list[Fraction]]]]:
+        """A sparse degree-k vector as its inert part and one dense vector per
+        component, in ascending component order."""
+        inert: dict[int, Fraction] = {}
+        parts: dict[int, list[Fraction]] = {}
         for idx, val in vec.items():
             cid = self.comp_of_k.get(idx)
             if cid is None:
-                out[self.inert_pos[idx]] = val
-            else:
-                by_comp.setdefault(cid, {})[idx] = val
-        for cid, part in sorted(by_comp.items()):
+                inert[idx] = val
+                continue
             comp = self.components[cid]
-            v = [_Q0] * len(comp.rows_k)
-            for idx, val in part.items():
-                v[comp.loc[idx]] = val
-            for local_no, coord in enumerate(comp.class_coords(v)):
+            v = parts.get(cid)
+            if v is None:
+                v = parts[cid] = [_Q0] * len(comp.rows_k)
+            v[comp.loc[idx]] = val
+        return inert, sorted(parts.items())
+
+    def class_of_vec(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Class coordinates (sparse, by class position) of a cocycle vector."""
+        inert, parts = self._split(vec)
+        out = {self.inert_pos[idx]: val for idx, val in inert.items()}
+        for cid, v in parts:
+            for local_no, coord in enumerate(self.components[cid].class_coords(v)):
                 if coord:
                     out[self.class_pos[(cid, local_no)]] = coord
         return out
 
     def solve_preimage_vec(self, vec: dict[int, Fraction]) -> dict[int, Fraction] | None:
         """u (sparse over basis(k-1)) with d(u) = vec, or None."""
+        inert, parts = self._split(vec)
+        if inert:
+            return None  # inert monomials are never coboundaries
         out: dict[int, Fraction] = {}
-        by_comp: dict[int, dict[int, Fraction]] = {}
-        for idx, val in vec.items():
-            cid = self.comp_of_k.get(idx)
-            if cid is None:
-                return None  # inert monomials are never coboundaries
-            by_comp.setdefault(cid, {})[idx] = val
-        for cid, part in sorted(by_comp.items()):
-            comp = self.components[cid]
-            v = [_Q0] * len(comp.rows_k)
-            for idx, val in part.items():
-                v[comp.loc[idx]] = val
-            u = comp.solve_preimage(v)
+        for cid, v in parts:
+            u = self.components[cid].solve_preimage(v)
             if u is None:
                 return None
             out.update(u)
         return out
 
+    def residue(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        """vec reduced modulo the image of the incoming d, sparse over basis(k)."""
+        out, parts = self._split(vec)
+        for cid, v in parts:
+            comp = self.components[cid]
+            red = comp._reduce_by_image(v)
+            out.update((comp.rows_k[i], x) for i, x in enumerate(red) if x)
+        return out
+
     def image_rank(self) -> int:
         return sum(len(c.img_rows) for c in self.components)
 
-    def image_rank_outside(self, keep_row: Callable[[int], bool]) -> int:
-        """Rank of (projection onto rows failing keep_row) ∘ incoming d."""
+    def image_rank_outside(self, cutoff: int) -> int:
+        """Rank of the incoming d followed by projection onto the monomials
+        with a factor of degree > cutoff: the coboundary rank of the quotient
+        complex ΛV / ΛV^{<=cutoff} in this degree."""
+        basis = self.cx.basis(self.degree)
+        degs = self.cx.view.degs
         total = 0
         for comp in self.components:
             if not comp.img_rows:
                 continue
-            sel = [i for i, g in enumerate(comp.rows_k) if not keep_row(g)]
-            if not sel:
-                continue
-            total += linalg.rank([[row[i] for i in sel] for row in comp.img_rows])
+            sel = [
+                i for i, g in enumerate(comp.rows_k) if _above(basis[g], degs, cutoff)
+            ]
+            if sel:
+                total += linalg.rank([[row[i] for i in sel] for row in comp.img_rows])
         return total
 
     def representative_vec(self, pos: int) -> dict[int, Fraction]:
@@ -445,8 +471,9 @@ class CohomologyBasis:
             raise NotACocycle(
                 f"polynomial has degree {p.homogeneous_degree()}, expected {self.degree}"
             )
-        if self.model.d(p):
-            raise NotACocycle(f"d(p) = {self.model.d(p)} != 0")
+        dp = self.model.d(p)
+        if dp:
+            raise NotACocycle(f"d(p) = {dp} != 0")
         index = self._cx.index(self.degree)
         vec = {index[self._cx.view.encode(m)]: c for m, c in p.terms()}
         return CohomologyClass(self, self._window.class_of_vec(vec))
@@ -544,16 +571,17 @@ def image_rank(m: SullivanModel, k: int) -> int:
 def image_rank_outside_cutoff(m: SullivanModel, k: int, cutoff: int) -> int:
     """rank of the coboundary map followed by projection onto monomials
     having a factor of degree > cutoff."""
+    return complex_for(m).window(k).image_rank_outside(cutoff)
+
+
+def residues_independent(m: SullivanModel, k: int, monos: list[Monomial]) -> bool:
+    """True iff the degree-k monomials are linearly independent modulo the
+    coboundaries of m (residues computed component-locally)."""
     cx = complex_for(m)
     win = cx.window(k)
-    basis_k = cx.basis(k)
-    degs = cx.view.degs
-
-    def keep(idx: int) -> bool:  # True: row lies inside Lambda V^{<=cutoff}
-        mono = basis_k[idx]
-        return all(degs[mono[p]] <= cutoff for p in range(0, len(mono), 2))
-
-    return win.image_rank_outside(keep)
+    index = cx.index(k)
+    residues = [win.residue({index[cx.view.encode(mono)]: _Q1}) for mono in monos]
+    return linalg.sparse_rank(residues) == len(monos)
 
 
 def solve_coboundary(m: SullivanModel, k: int, rhs: Polynomial) -> Polynomial | None:
@@ -589,39 +617,15 @@ def induced_map(f, k: int) -> list[list[Fraction]]:
 def pair_cohomology_dim(m: SullivanModel, n: int, k: int) -> int:
     """dim H^k of the quotient complex of the pair (ΛV^{<=n+1}; ΛV^{<=n-1}).
 
-    The quotient is realized by basis filtering: monomials of ΛV^{<=n+1}
-    containing at least one factor of degree in (n-1, n+1], with the
-    differential followed by projection back onto such monomials.
+    The quotient has the monomials of ΛV^{<=n+1} with a factor of degree
+    > n-1 as basis.  d maps ΛV^{<=n-1} into itself, so the rank of the
+    quotient differential is the quotient rank of the windows of ΛV^{<=n+1}.
     """
-    sub = m.truncate(n + 1)
-    cx = complex_for(sub)
+    cx = complex_for(m.truncate(n + 1))
     degs = cx.view.degs
-
-    def in_quotient(mono: Coded) -> bool:
-        return any(n - 1 < degs[mono[p]] <= n + 1 for p in range(0, len(mono), 2))
-
-    def filtered_rank(deg: int) -> int:
-        basis_lo = cx.basis(deg)
-        basis_up = cx.basis(deg + 1)
-        rows: dict[int, int] = {}
-        cols = []
-        columns = cx.columns(deg)
-        for i, mono in enumerate(basis_lo):
-            if not in_quotient(mono):
-                continue
-            col = columns.get(i, [])
-            entries = [(r, v) for r, v in col if in_quotient(basis_up[r])]
-            if entries:
-                for r, _ in entries:
-                    rows.setdefault(r, len(rows))
-                cols.append(entries)
-        if not cols:
-            return 0
-        mat = [[_Q0] * len(cols) for _ in range(len(rows))]
-        for j, entries in enumerate(cols):
-            for r, v in entries:
-                mat[rows[r]][j] = v
-        return linalg.rank(mat)
-
-    n_k = sum(1 for mono in cx.basis(k) if in_quotient(mono))
-    return n_k - filtered_rank(k) - filtered_rank(k - 1)
+    n_k = sum(1 for mono in cx.basis(k) if _above(mono, degs, n - 1))
+    return (
+        n_k
+        - cx.window(k + 1).image_rank_outside(n - 1)
+        - cx.window(k).image_rank_outside(n - 1)
+    )

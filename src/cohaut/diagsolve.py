@@ -23,7 +23,7 @@ from typing import Iterator, Mapping
 
 from . import linalg
 from .algebra import Monomial, Q
-from .cohomology import complex_for
+from .cohomology import residues_independent
 from .coherence import GradedLinearMap, LiftResult, try_lift
 from .model import SullivanModel
 
@@ -130,33 +130,6 @@ def _require_diagonal(m: SullivanModel) -> None:
         )
 
 
-def _residues_independent(m: SullivanModel, k: int, monos: list[Monomial]) -> bool:
-    """True iff the monomials are linearly independent modulo Im d in degree k
-    of the model m (all residues computed component-locally)."""
-    cx = complex_for(m)
-    win = cx.window(k)
-    index = cx.index(k)
-    residues: list[dict[int, Fraction]] = []
-    for mono in monos:
-        idx = index[cx.view.encode(mono)]
-        cid = win.comp_of_k.get(idx)
-        if cid is None:
-            residues.append({idx: Q(1)})
-        else:
-            comp = win.components[cid]
-            vec = [Q(0)] * len(comp.rows_k)
-            vec[comp.loc[idx]] = Q(1)
-            red = comp._reduce_by_image(vec)
-            residues.append(
-                {comp.rows_k[i]: v for i, v in enumerate(red) if v}
-            )
-    support = sorted({i for r in residues for i in r})
-    if len(residues) != len(monos):
-        return False
-    mat = [[r.get(i, Q(0)) for r in residues] for i in support]
-    return linalg.rank(mat) == len(monos)
-
-
 def _monomial_exponents(m: Monomial) -> tuple[tuple[int, int], ...]:
     return tuple((g.degree, e) for g, e in m.factors)
 
@@ -183,7 +156,7 @@ def extract_constraints(m: SullivanModel) -> MonomialConstraintSystem:
                 )
             )
         trunc = m.truncate(g.degree - 1)
-        if not _residues_independent(trunc, g.degree + 1, monos):
+        if not residues_independent(trunc, g.degree + 1, monos):
             complete = False
             notes.append(
                 f"monomials of d({g.name}) are dependent modulo coboundaries; "
@@ -271,7 +244,7 @@ def extract_cross_constraints(
         union = sorted(set(a_terms) | set(b_terms), key=lambda mm: mm.sort_key())
         if union:
             trunc = b.truncate(ga.degree - 1)
-            if not _residues_independent(trunc, ga.degree + 1, union):
+            if not residues_independent(trunc, ga.degree + 1, union):
                 complete = False
                 notes.append(
                     f"monomials at degree {ga.degree} are dependent modulo "
@@ -331,20 +304,27 @@ class Branch:
     def count(self) -> int | None:
         return 2 ** len(self.sign_kernel) if self.finite else None
 
+    def _signed(self, mask: int, variables: tuple[int, ...]) -> Vector:
+        """The solution with sign bitmask `mask` and the particular absolute values."""
+        values = {v: Q(0) for v in self.zero}
+        for pos_i, (v, q) in enumerate(zip(self.nonzero, self.pos_particular)):
+            values[v] = -q if mask >> pos_i & 1 else q
+        return tuple(values[v] for v in variables)
+
+    def particular(self, variables: tuple[int, ...]) -> Vector:
+        """The particular solution: particular signs and absolute values."""
+        return self._signed(self.sign_particular, variables)
+
     def iter_vectors(self, variables: tuple[int, ...]) -> Iterator[Vector]:
+        """Every solution of a finite branch, the particular one first."""
         if not self.finite:
             raise ValueError("infinite branch cannot be enumerated")
-        pos = {v: q for v, q in zip(self.nonzero, self.pos_particular)}
         for bits in range(2 ** len(self.sign_kernel)):
             mask = self.sign_particular
             for i, basis_vec in enumerate(self.sign_kernel):
                 if bits >> i & 1:
                     mask ^= basis_vec
-            values = {v: Q(0) for v in self.zero}
-            for pos_i, v in enumerate(self.nonzero):
-                sign = -1 if mask >> pos_i & 1 else 1
-                values[v] = sign * pos[v]
-            yield tuple(values[v] for v in variables)
+            yield self._signed(mask, variables)
 
 
 @dataclass(frozen=True)
@@ -573,10 +553,7 @@ def lift_verify(
     else:
         seen = set()
         for b in solutions.branches:
-            base = {v: Q(0) for v in b.zero}
-            for pos_i, v in enumerate(b.nonzero):
-                sign = -1 if b.sign_particular >> pos_i & 1 else 1
-                base[v] = sign * b.pos_particular[pos_i]
+            base = dict(zip(system.variables, b.particular(system.variables)))
             candidates = [dict(base)]
             for kvec in b.sign_kernel:
                 alt = dict(base)
@@ -663,14 +640,7 @@ def coherent_iso_exists(a: SullivanModel, b: SullivanModel) -> IsoDecision:
             "cannot express the coefficient ratios",
             None,
         )
-    witness = next(branch.iter_vectors(system.variables)) if branch.finite else None
-    if witness is None:
-        # infinite family: take the particular solution as witness
-        values = {v: Q(0) for v in branch.zero}
-        for pos_i, v in enumerate(branch.nonzero):
-            sign = -1 if branch.sign_particular >> pos_i & 1 else 1
-            values[v] = sign * branch.pos_particular[pos_i]
-        witness = tuple(values[v] for v in system.variables)
+    witness = branch.particular(system.variables)
     result = try_lift(as_linear_map(system, witness))
     if not result.ok:
         return IsoDecision(

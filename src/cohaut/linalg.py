@@ -11,7 +11,7 @@ made to be fast on large dense systems.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 Q = Fraction
 Vector = list[Fraction]
@@ -73,6 +73,13 @@ def rref(m: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int], int]:
 
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
     return rref(m)[2]
+
+
+def sparse_rank(vectors: Iterable[Mapping[Hashable, Fraction]]) -> int:
+    """Rank of sparse vectors given as dicts {coordinate key: entry}."""
+    rows = list(vectors)
+    keys = {key: None for row in rows for key in row}  # first-seen order
+    return rank([[row.get(key, Q(0)) for key in keys] for row in rows])
 
 
 def nullspace(m: Sequence[Sequence[Fraction]], n_cols: int | None = None) -> list[Vector]:

@@ -26,7 +26,6 @@ from .algebra import (
     _mul_poly_coded,
     basis,
     coordinates,
-    iter_basis,
 )
 
 
@@ -139,9 +138,6 @@ class SullivanModel:
 
     def basis(self, degree: int) -> tuple[Monomial, ...]:
         return basis(self.generators, degree)
-
-    def iter_basis(self, degree: int):
-        return iter_basis(self.generators, degree)
 
     def coordinates(self, p: Polynomial, degree: int):
         return coordinates(self.generators, p, degree)

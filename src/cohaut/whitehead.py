@@ -12,15 +12,16 @@ same map by its codomain degree n+1, and reports print both.
 Exactness is verified numerically: containments by direct class computations,
 im = ker by exact rank bookkeeping.  For the rank of ker(i) we use
 dim ker(i) = dim(B_full ∩ ΛV^{<=n-1}) - dim(B_trunc), where B_* are the
-coboundary spaces; both terms reduce to component-local ranks.
+coboundary spaces.  dim(B_full ∩ ΛV^{<=n-1}) is the image rank of ΛV minus
+the one quotient rank of the filtration (`image_rank_outside_cutoff`, the
+coboundaries projected onto monomials with a factor of degree > n-1); all
+terms reduce to component-local ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
-
 from . import linalg
 from .algebra import Polynomial, Q
 from .cohomology import (
@@ -71,21 +72,6 @@ class WhiteheadSequence:
         return f"WES({self.model.label}, degrees {self.n_min}..{self.n_max})"
 
 
-def _rank_of_sparse_columns(
-    columns: Iterable[tuple[tuple[int, Fraction], ...]]
-) -> int:
-    cols = [dict(col) for col in columns]
-    support = sorted({i for col in cols for i in col})
-    if not support or not cols:
-        return 0
-    pos = {i: p for p, i in enumerate(support)}
-    mat = [[Q(0)] * len(cols) for _ in support]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            mat[pos[i]][j] = c
-    return linalg.rank(mat)
-
-
 def _node(m: SullivanModel, n: int) -> WESNode:
     gens = m.gens_of_degree(n)
     trunc = m.truncate(n - 1)
@@ -98,18 +84,10 @@ def _node(m: SullivanModel, n: int) -> WESNode:
     # dim ker i = dim(B_full ∩ ΛV^{<=n-1}) - dim(B_trunc)
     b_full_in_span = image_rank(m, n + 1) - image_rank_outside_cutoff(m, n + 1, n - 1)
     ker_i = b_full_in_span - image_rank(trunc, n + 1)
-    h_here = cohomology(m, n)
-    parts = h_here.linear_parts()
+    parts = cohomology(m, n).linear_parts()
     j_parts = tuple(
         (pos, tuple(sorted(d.items()))) for pos, d in sorted(parts.items())
     )
-    rank_j = 0
-    if parts:
-        names = [g.name for g in gens]
-        vecs = [
-            [dict(row).get(name, Q(0)) for name in names] for _, row in j_parts
-        ]
-        rank_j = linalg.rank(vecs)
     return WESNode(
         n=n,
         gens=tuple(g.name for g in gens),
@@ -117,7 +95,7 @@ def _node(m: SullivanModel, n: int) -> WESNode:
         h_dim=h.dimension,
         b_columns=tuple(b_cols),
         ker_i_dim=ker_i,
-        rank_j=rank_j,
+        rank_j=linalg.sparse_rank(parts.values()),
         j_parts=j_parts,
     )
 
@@ -189,7 +167,7 @@ def check_exactness(w: WhiteheadSequence) -> ExactnessReport:
     add = report.checks.append
     for n in range(w.n_min, w.n_max + 1):
         node = w.nodes[n]
-        rank_b = _rank_of_sparse_columns(node.b_columns)
+        rank_b = linalg.sparse_rank(dict(col) for col in node.b_columns)
         # b-fidelity: stored columns must equal the defining classes [d(v)]
         gamma = w.gamma_basis(n)
         ok_fid = True

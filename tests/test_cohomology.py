@@ -10,8 +10,10 @@ from cohaut.cohomology import (
     coboundary_matrix,
     cohomology,
     image_rank,
+    image_rank_outside_cutoff,
     induced_map,
     pair_cohomology_dim,
+    residues_independent,
     solve_coboundary,
 )
 from cohaut.model import CochainMorphism, identity
@@ -236,6 +238,47 @@ def test_pair_cohomology_matches_generator_counts(V, W):
             gens_n1 = len(m.gens_of_degree(n + 1))
             assert pair_cohomology_dim(m, n, n) == gens_n
             assert pair_cohomology_dim(m, n, n + 1) == gens_n1
+
+
+def _quotient_rank_oracle(m, k, cutoff):
+    """Dense rank of the rows of d: degree k-1 -> k at the monomials having a
+    factor of degree > cutoff."""
+    rows = [
+        row
+        for mono, row in zip(m.basis(k), coboundary_matrix(m, k - 1))
+        if any(g.degree > cutoff for g, _ in mono.factors)
+    ]
+    return linalg.rank(rows)
+
+
+@pytest.mark.parametrize("label", ["V-ex31", "W-ex32", "E3"])
+def test_image_rank_outside_cutoff_matches_dense_oracle(label):
+    from cohaut.corpus import load_builtin
+
+    m = load_builtin(label)
+    cases = []
+    for n in sorted({g.degree for g in m.generators}):
+        cases.append((m, n + 1, n - 1))  # the cutoff of ker(i) in the WES
+        t = m.truncate(n + 1)
+        cases += [(t, k, n - 1) for k in (n, n + 1, n + 2)]  # pair cutoffs
+    # the cutoffs above give rank 0 on these models; these do not
+    cases += [(m, k, c) for k in (85, 120, 128, 130) for c in (12, 42)]
+    ranks = [image_rank_outside_cutoff(t, k, c) for t, k, c in cases]
+    assert ranks == [_quotient_rank_oracle(t, k, c) for t, k, c in cases]
+    assert max(ranks) >= 1
+
+
+def test_residues_independent(V, W):
+    z = W.generator("z")
+    assert residues_independent(W.truncate(118), 120, W.differential(z).monomials())
+    x1, x2 = V.generator("x1"), V.generator("x2")
+    y1, y2 = V.generator("y1"), V.generator("y2")
+    a = mono((x1, 3), (x2, 1), (y2, 1))
+    b = mono((x1, 2), (x2, 2), (y1, 1))
+    # a - b = d(y1 y2), so a and b agree modulo coboundaries
+    assert V.d(P.monomial(mono((y1, 1), (y2, 1)))) == P.monomial(a) - P.monomial(b)
+    assert residues_independent(V, 85, [a]) and residues_independent(V, 85, [b])
+    assert not residues_independent(V, 85, [a, b])
 
 
 def test_induced_map_of_non_morphism_is_rejected_at_construction(V):

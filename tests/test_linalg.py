@@ -18,6 +18,7 @@ from cohaut.linalg import (
     smith_normal_form,
     solve,
     solve_f2,
+    sparse_rank,
 )
 
 
@@ -78,6 +79,16 @@ def test_rank_nullity_random():
         assert r + len(nullspace(m)) == cols
         for v in nullspace(m):
             assert all(x == 0 for x in matvec(m, v))
+
+
+def test_sparse_rank_against_dense_rank():
+    assert sparse_rank([]) == sparse_rank([{}, {}]) == 0
+    assert sparse_rank([{"a": Q(1), "b": Q(2)}, {"b": Q(4), "a": Q(2)}, {"c": Q(1)}]) == 2
+    rng = random.Random(12)
+    for _ in range(25):
+        m = qmatrix([[rng.randint(-2, 2) for _ in range(5)] for _ in range(4)])
+        vectors = [{(7, j): x for j, x in enumerate(row) if x} for row in m]
+        assert sparse_rank(vectors) == rank(m)
 
 
 # --- Smith normal form ------------------------------------------------------------
