@@ -63,12 +63,6 @@ class Monomial:
     def is_unit(self) -> bool:
         return not self.factors
 
-    def exponent(self, gen: Generator) -> int:
-        for g, e in self.factors:
-            if g == gen:
-                return e
-        return 0
-
     def linear_generator(self) -> Generator | None:
         """The generator g if this monomial is the word g itself, else None."""
         if len(self.factors) == 1 and self.factors[0][1] == 1:

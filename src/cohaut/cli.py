@@ -5,7 +5,8 @@ Models are builtin labels (V-ex31, W-ex32, U1..U8, E2..E7) or .mcca files.
 Every command supports --json with the stable schema
 {command, model, results, warnings, timing_ms}; JSON output is byte-identical
 across runs (timing_ms is fixed to 0 there - real timing appears only in the
-human-readable form).
+human-readable form).  Every command but validate refuses a model that fails
+validation.
 
 Exit codes: 0 success, 1 mathematical failure (failed validation, obstructed
 lift, failed reproduction), 2 usage or parse errors.
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from . import corpus, diagsolve, dsl
 from .algebra import Q
-from .coherence import GradedLinearMap, gap_report, try_lift
+from .coherence import GradedLinearMap, ShapeError, gap_report, try_lift
 from .cohomology import cohomology
 from .model import ModelError, SullivanModel, extend_tower
 from .whitehead import build_wes, check_exactness
@@ -44,8 +45,18 @@ def _load_model(spec: str) -> SullivanModel:
     )
 
 
-def _fr(x: Fraction) -> str:
-    return str(x)
+def _load_valid_model(spec: str) -> SullivanModel:
+    """The model of `_load_model`; raises ModelError naming every failed
+    validation check, so no command computes on a non-minimal model or a
+    non-complex."""
+    m = _load_model(spec)
+    failed = [c for c in m.validate().checks if not c.ok]
+    if failed:
+        raise ModelError(
+            f"{m.label} fails validation: "
+            + "; ".join(f"{c.name} ({c.detail})" for c in failed)
+        )
+    return m
 
 
 def _emit(args, command: str, model: str, results, warnings, t0: float, code: int) -> int:
@@ -88,7 +99,9 @@ def cmd_validate(args) -> int:
 
 def cmd_cohomology(args) -> int:
     t0 = time.monotonic()
-    m = _load_model(args.model)
+    if args.degree < 0:
+        raise UsageError(f"--degree must be >= 0, got {args.degree}")
+    m = _load_valid_model(args.model)
     warnings = list(m.warnings)
     target = m.truncate(args.truncate) if args.truncate is not None else m
     basis = cohomology(target, args.degree)
@@ -116,7 +129,9 @@ def cmd_cohomology(args) -> int:
 
 def cmd_wes(args) -> int:
     t0 = time.monotonic()
-    m = _load_model(args.model)
+    if args.max is not None and args.max < 3:
+        raise UsageError(f"--max must be >= 3, got {args.max}")
+    m = _load_valid_model(args.model)
     w = build_wes(m, args.max)
     report = check_exactness(w)
     nodes = []
@@ -131,7 +146,7 @@ def cmd_wes(args) -> int:
                 "dim_gamma_next": node.gamma_dim,  # dim H^{n+1}(ΛV^{<=n-1}), codomain of b^n
                 "dim_h_next": node.h_dim,
                 "b_columns": [
-                    [[i, _fr(c)] for i, c in col] for col in node.b_columns
+                    [[i, str(c)] for i, c in col] for col in node.b_columns
                 ],
             }
         )
@@ -170,19 +185,30 @@ def _parse_xi(m: SullivanModel, spec: str) -> GradedLinearMap:
             try:
                 degree = int(key[1:])
                 entries[degree] = Fraction(value)
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise UsageError(f"bad --xi entry {item!r}")
         for d in sorted({g.degree for g in m.generators}):
             entries.setdefault(d, Q(0))
-        return GradedLinearMap.diagonal(m, entries)
+        try:
+            return GradedLinearMap.diagonal(m, entries)
+        except ShapeError as exc:
+            raise UsageError(f"bad --xi: {exc}")
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        blocks = {
-            int(d): [[Fraction(x) for x in row] for row in mat]
-            for d, mat in doc.items()
-        }
-        return GradedLinearMap(m, m, blocks)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise UsageError(f"--xi file {spec} is not JSON: {exc}")
+        if not isinstance(doc, dict):
+            raise UsageError(f"--xi file {spec} must map degrees to matrices")
+        try:
+            blocks = {
+                int(d): [[Fraction(x) for x in row] for row in mat]
+                for d, mat in doc.items()
+            }
+            return GradedLinearMap(m, m, blocks)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:  # ShapeError is a ValueError
+            raise UsageError(f"bad --xi block in {spec}: {exc}")
     raise UsageError(
         f"--xi {spec!r} is neither a diagonal spec (p10=1,p12=-1,...) nor a JSON file"
     )
@@ -190,7 +216,7 @@ def _parse_xi(m: SullivanModel, spec: str) -> GradedLinearMap:
 
 def cmd_coherent(args) -> int:
     t0 = time.monotonic()
-    m = _load_model(args.model)
+    m = _load_valid_model(args.model)
     xi = _parse_xi(m, args.xi)
     result = try_lift(xi)
     gaps = gap_report(m)
@@ -215,7 +241,7 @@ def cmd_coherent(args) -> int:
             "obstruction": {
                 "degree": ob.degree,
                 "generator": ob.generator,
-                "class": [[i, _fr(c)] for i, c in sorted(ob.failure_class.coords.items())],
+                "class": [[i, str(c)] for i, c in sorted(ob.failure_class.coords.items())],
                 "message": ob.message,
             },
         }
@@ -241,7 +267,7 @@ def _solve_payload(m: SullivanModel) -> tuple[dict, list[str]]:
         sols = solutions.solutions()
         payload["morphisms"] = len(sols)
         payload["automorphisms"] = len(solutions.invertible_solutions())
-        payload["solutions"] = [[_fr(x) for x in vec] for vec in sols]
+        payload["solutions"] = [[str(x) for x in vec] for vec in sols]
         payload["lift_verified"] = {
             "checked": len(verified),
             "failed": n_failed,
@@ -284,7 +310,7 @@ def _solve_payload(m: SullivanModel) -> tuple[dict, list[str]]:
 
 def cmd_solve(args) -> int:
     t0 = time.monotonic()
-    m = _load_model(args.model)
+    m = _load_valid_model(args.model)
     try:
         payload, warnings = _solve_payload(m)
     except diagsolve.NotDiagonal as exc:
@@ -314,30 +340,32 @@ def cmd_solve(args) -> int:
 
 def cmd_iso(args) -> int:
     t0 = time.monotonic()
-    a = _load_model(args.model_a)
-    b = _load_model(args.model_b)
+    a = _load_valid_model(args.model_a)
+    b = _load_valid_model(args.model_b)
     decision = diagsolve.coherent_iso_exists(a, b)
     results = {
         "isomorphic": decision.isomorphic,
         "reason": decision.reason,
-        "witness": [_fr(x) for x in decision.witness] if decision.witness else None,
+        "witness": [str(x) for x in decision.witness] if decision.witness else None,
     }
     if not args.json:
         print(f"{a.label} ~ {b.label}: {decision}")
         if decision.witness and decision.isomorphic:
-            print(f"  witness: ({', '.join(_fr(x) for x in decision.witness)})")
+            print(f"  witness: ({', '.join(str(x) for x in decision.witness)})")
     return _emit(args, "iso", f"{a.label},{b.label}", results, (), t0, 0)
 
 
 def cmd_extend(args) -> int:
     t0 = time.monotonic()
-    m = _load_model(args.model)
+    m = _load_valid_model(args.model)
     try:
         degree_s, _, rest = args.gen.partition(":")
         exponent_s, _, name = rest.partition(":")
         degree, exponent = int(degree_s), int(exponent_s)
     except ValueError:
         raise UsageError(f"--gen must be d:k or d:k:name, got {args.gen!r}")
+    if degree < 2 or exponent < 2:
+        raise UsageError(f"--gen needs degree >= 2 and exponent >= 2, got {args.gen!r}")
     extended = extend_tower(m, args.closing, degree, exponent, name=name or None)
     text = dsl.serialize(extended)
     results = {

@@ -8,11 +8,6 @@ active monomials fall into small components on which dense exact elimination
 is cheap.  Dimensions need only the two boundary ranks per component, so the
 kernel and representative data are computed lazily, on first access.
 
-The filtration ΛV^{<=c} ⊂ ΛV has one quotient rank, `_Window.image_rank_outside`:
-the rank of the incoming differential followed by projection onto monomials
-with a factor of degree > c.  Both the Whitehead sequence's ker(i) and the
-cohomology of the pair (ΛV^{<=n+1}; ΛV^{<=n-1}) are computed from it.
-
 All public results (dimensions, representative order, class coordinates) are
 deterministic.  Cohomology is computed per (model, degree) on demand and
 memoized with bounded caches; insertion uses atomic insert-if-absent
@@ -119,11 +114,6 @@ def complex_for(model: SullivanModel) -> _Complex:
     return _COMPLEXES.get_or_create(model, lambda: _Complex(model))
 
 
-def _above(mono: Coded, degs: tuple[int, ...], cutoff: int) -> bool:
-    """True iff the coded monomial has a factor of degree > cutoff."""
-    return any(degs[mono[p]] > cutoff for p in range(0, len(mono), 2))
-
-
 class _Component:
     """One connected block of the window: active monomials at k-1, k, k+1.
 
@@ -159,29 +149,13 @@ class _Component:
             for r, val in cols_km1[c]:
                 v[loc[r]] = val
             img_vecs.append(v)
-        if len(img_vecs) == 1:  # single incoming column: normalize directly
-            v = img_vecs[0]
-            lead = next(i for i, x in enumerate(v) if x)
-            if v[lead] != 1:
-                inv = 1 / v[lead]
-                v = [x * inv for x in v]
-            self.img_rows = [v]
-            self.img_pivots = [lead]
-        elif img_vecs:
-            red, piv, rk = linalg.rref(img_vecs)
-            self.img_rows = red[:rk]
-            self.img_pivots = piv
-        else:
-            self.img_rows = []
-            self.img_pivots = []
+        red, self.img_pivots, rk = linalg.rref(img_vecs)
+        self.img_rows = red[:rk]
         self.cols_k_members = members = [g for g in rows if g in cols_k]
         if len(members) == 1:
             rank_out = 1  # a stored column is nonzero by construction
-        elif members:
-            up_mat = self._outgoing_matrix()
-            rank_out = linalg.rref(up_mat)[2] if up_mat else 0
         else:
-            rank_out = 0
+            rank_out = linalg.rank(self._outgoing_matrix())
         self.rank_out = rank_out
         self.dim_h = n - rank_out - len(self.img_rows)
         self._h_rows = None
@@ -210,20 +184,10 @@ class _Component:
     def _ensure_h(self):
         if self._h_rows is not None:
             return
-        n = len(self.rows_k)
-        up_mat = self._outgoing_matrix() if self.cols_k_members else []
-        if up_mat:
-            kernel = linalg.nullspace(up_mat, n)
-        else:
-            kernel = [[_Q1 if i == j else _Q0 for i in range(n)] for j in range(n)]
+        kernel = linalg.nullspace(self._outgoing_matrix(), len(self.rows_k))
         reduced = [v for v in (self._reduce_by_image(k) for k in kernel) if any(v)]
-        if reduced:
-            red, piv, rk = linalg.rref(reduced)
-            self._h_rows = red[:rk]
-            self._h_pivots = piv
-        else:
-            self._h_rows = []
-            self._h_pivots = []
+        red, self._h_pivots, rk = linalg.rref(reduced)
+        self._h_rows = red[:rk]
 
     @property
     def h_rows(self):
@@ -275,10 +239,8 @@ class _Component:
 class _Window:
     """Cohomology data of one model at one degree k (uses degrees k-1..k+1)."""
 
-    def __init__(self, cx: _Complex, degree: int):
+    def __init__(self, cx: _Complex, k: int):
         self.cx = cx
-        self.degree = degree
-        k = degree
         cols_km1 = cx.columns(k - 1)
         cols_k = cx.columns(k)
         basis_k = cx.basis(k)
@@ -416,23 +378,6 @@ class _Window:
     def image_rank(self) -> int:
         return sum(len(c.img_rows) for c in self.components)
 
-    def image_rank_outside(self, cutoff: int) -> int:
-        """Rank of the incoming d followed by projection onto the monomials
-        with a factor of degree > cutoff: the coboundary rank of the quotient
-        complex ΛV / ΛV^{<=cutoff} in this degree."""
-        basis = self.cx.basis(self.degree)
-        degs = self.cx.view.degs
-        total = 0
-        for comp in self.components:
-            if not comp.img_rows:
-                continue
-            sel = [
-                i for i, g in enumerate(comp.rows_k) if _above(basis[g], degs, cutoff)
-            ]
-            if sel:
-                total += linalg.rank([[row[i] for i in sel] for row in comp.img_rows])
-        return total
-
     def representative_vec(self, pos: int) -> dict[int, Fraction]:
         cid, payload = self.class_slots[pos]
         if cid < 0:
@@ -448,20 +393,19 @@ class _Window:
 class CohomologyBasis:
     """Basis of H^k(model): deterministic representatives and coordinates."""
 
-    __slots__ = ("model", "degree", "dimension", "_window", "_cx")
+    __slots__ = ("model", "degree", "dimension", "_window")
 
     def __init__(self, model: SullivanModel, degree: int):
         self.model = model
         self.degree = degree
-        cx = complex_for(model)
-        self._cx = cx
-        self._window = cx.window(degree)
+        self._window = complex_for(model).window(degree)
         self.dimension = self._window.dimension
 
     def representative(self, i: int) -> Polynomial:
         vec = self._window.representative_vec(i)
-        b = self._cx.basis(self.degree)
-        return Polynomial({self._cx.view.decode(b[idx]): c for idx, c in vec.items()})
+        cx = self._window.cx
+        b = cx.basis(self.degree)
+        return Polynomial({cx.view.decode(b[idx]): c for idx, c in vec.items()})
 
     def representatives(self) -> list[Polynomial]:
         return [self.representative(i) for i in range(self.dimension)]
@@ -474,8 +418,9 @@ class CohomologyBasis:
         dp = self.model.d(p)
         if dp:
             raise NotACocycle(f"d(p) = {dp} != 0")
-        index = self._cx.index(self.degree)
-        vec = {index[self._cx.view.encode(m)]: c for m, c in p.terms()}
+        cx = self._window.cx
+        index = cx.index(self.degree)
+        vec = {index[cx.view.encode(m)]: c for m, c in p.terms()}
         return CohomologyClass(self, self._window.class_of_vec(vec))
 
     def linear_parts(self) -> dict[int, dict[str, Fraction]]:
@@ -487,11 +432,11 @@ class CohomologyBasis:
         gens = self.model.gens_of_degree(self.degree)
         if not gens:
             return {}
-        index = self._cx.index(self.degree)
-        out: dict[int, dict[str, Fraction]] = {}
         win = self._window
+        index = win.cx.index(self.degree)
+        out: dict[int, dict[str, Fraction]] = {}
         for g in gens:
-            gidx = index[self._cx.view.encode(Monomial(((g, 1),)))]
+            gidx = index[win.cx.view.encode(Monomial(((g, 1),)))]
             cid = win.comp_of_k.get(gidx)
             if cid is None:
                 out.setdefault(win.inert_pos[gidx], {})[g.name] = _Q1
@@ -568,12 +513,6 @@ def image_rank(m: SullivanModel, k: int) -> int:
     return complex_for(m).window(k).image_rank()
 
 
-def image_rank_outside_cutoff(m: SullivanModel, k: int, cutoff: int) -> int:
-    """rank of the coboundary map followed by projection onto monomials
-    having a factor of degree > cutoff."""
-    return complex_for(m).window(k).image_rank_outside(cutoff)
-
-
 def residues_independent(m: SullivanModel, k: int, monos: list[Monomial]) -> bool:
     """True iff the degree-k monomials are linearly independent modulo the
     coboundaries of m (residues computed component-locally)."""
@@ -613,19 +552,3 @@ def induced_map(f, k: int) -> list[list[Fraction]]:
         cols.append(tgt.class_of(image).vector())
     return [[cols[j][i] for j in range(src.dimension)] for i in range(tgt.dimension)]
 
-
-def pair_cohomology_dim(m: SullivanModel, n: int, k: int) -> int:
-    """dim H^k of the quotient complex of the pair (ΛV^{<=n+1}; ΛV^{<=n-1}).
-
-    The quotient has the monomials of ΛV^{<=n+1} with a factor of degree
-    > n-1 as basis.  d maps ΛV^{<=n-1} into itself, so the rank of the
-    quotient differential is the quotient rank of the windows of ΛV^{<=n+1}.
-    """
-    cx = complex_for(m.truncate(n + 1))
-    degs = cx.view.degs
-    n_k = sum(1 for mono in cx.basis(k) if _above(mono, degs, n - 1))
-    return (
-        n_k
-        - cx.window(k + 1).image_rank_outside(n - 1)
-        - cx.window(k).image_rank_outside(n - 1)
-    )

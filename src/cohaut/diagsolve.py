@@ -339,17 +339,13 @@ class SolutionSet:
     @property
     def free_rank(self) -> int:
         """Multiplicative free rank of the invertible (all-nonzero) branch."""
-        for b in self.branches:
-            if not b.zero:
-                return len(b.pos_kernel)
-        return 0
+        b = self.invertible_branch()
+        return len(b.pos_kernel) if b else 0
 
     @property
     def torsion_rank(self) -> int:
-        for b in self.branches:
-            if not b.zero:
-                return len(b.sign_kernel)
-        return 0
+        b = self.invertible_branch()
+        return len(b.sign_kernel) if b else 0
 
     def invertible_branch(self) -> Branch | None:
         for b in self.branches:
@@ -553,21 +549,17 @@ def lift_verify(
     else:
         seen = set()
         for b in solutions.branches:
-            base = dict(zip(system.variables, b.particular(system.variables)))
-            candidates = [dict(base)]
-            for kvec in b.sign_kernel:
-                alt = dict(base)
-                for pos_i, v in enumerate(b.nonzero):
-                    if kvec >> pos_i & 1:
-                        alt[v] = -alt[v]
-                candidates.append(alt)
+            base = b.particular(system.variables)
+            candidates = [base] + [
+                b._signed(b.sign_particular ^ kvec, system.variables)
+                for kvec in b.sign_kernel
+            ]
             for direction in b.pos_kernel:
-                alt = dict(base)
+                alt = dict(zip(system.variables, base))
                 for pos_i, v in enumerate(b.nonzero):
                     alt[v] = alt[v] * Q(2) ** direction[pos_i]
-                candidates.append(alt)
-            for cand in candidates:
-                vec = tuple(cand[v] for v in system.variables)
+                candidates.append(tuple(alt[v] for v in system.variables))
+            for vec in candidates:
                 if vec not in seen:
                     seen.add(vec)
                     vectors.append(vec)

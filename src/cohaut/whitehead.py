@@ -11,11 +11,13 @@ same map by its codomain degree n+1, and reports print both.
 
 Exactness is verified numerically: containments by direct class computations,
 im = ker by exact rank bookkeeping.  For the rank of ker(i) we use
-dim ker(i) = dim(B_full ∩ ΛV^{<=n-1}) - dim(B_trunc), where B_* are the
-coboundary spaces.  dim(B_full ∩ ΛV^{<=n-1}) is the image rank of ΛV minus
-the one quotient rank of the filtration (`image_rank_outside_cutoff`, the
-coboundaries projected onto monomials with a factor of degree > n-1); all
-terms reduce to component-local ranks.
+dim ker(i) = dim B^{n+1}(ΛV) - dim B^{n+1}(ΛV^{<=n-1}), the difference of the
+two image ranks.  This holds because B^{n+1}(ΛV) ⊂ ΛV^{<=n-1} on a minimal
+model: generators have degree >= 2, so (ΛV)^n is spanned by V^n and by
+products of generators of degree <= n-2; d maps the products into
+ΛV^{<=n-2}, and d(V^n) is decomposable of degree n+1, so each of its factors
+has degree <= n-1.  A d(v) with a linear term in V^{n+1} is rejected with
+ModelError when [d(v)] is taken in ΛV^{<=n-1}.
 """
 
 from __future__ import annotations
@@ -24,12 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from . import linalg
 from .algebra import Polynomial, Q
-from .cohomology import (
-    CohomologyBasis,
-    cohomology,
-    image_rank,
-    image_rank_outside_cutoff,
-)
+from .cohomology import CohomologyBasis, cohomology, image_rank
 from .model import CochainMorphism, SullivanModel
 
 
@@ -81,9 +78,8 @@ def _node(m: SullivanModel, n: int) -> WESNode:
         cls = gamma.class_of(m.d(Polynomial.generator(g)))
         b_cols.append(tuple(sorted(cls.coords.items())))
     h = cohomology(m, n + 1)
-    # dim ker i = dim(B_full ∩ ΛV^{<=n-1}) - dim(B_trunc)
-    b_full_in_span = image_rank(m, n + 1) - image_rank_outside_cutoff(m, n + 1, n - 1)
-    ker_i = b_full_in_span - image_rank(trunc, n + 1)
+    # dim ker i = dim B^{n+1}(ΛV) - dim B^{n+1}(ΛV^{<=n-1}), see the module docstring
+    ker_i = image_rank(m, n + 1) - image_rank(trunc, n + 1)
     parts = cohomology(m, n).linear_parts()
     j_parts = tuple(
         (pos, tuple(sorted(d.items()))) for pos, d in sorted(parts.items())

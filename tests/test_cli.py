@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cohaut.cli import main
 from cohaut.dsl import parse
 
@@ -168,3 +170,59 @@ def test_json_outputs_are_byte_identical_across_runs(capsys):
     _, out3, _ = run(capsys, "cohomology", "V-ex31", "--degree", "120", "--truncate", "118", "--json")
     _, out4, _ = run(capsys, "cohomology", "V-ex31", "--degree", "120", "--truncate", "118", "--json")
     assert out3 == out4
+
+
+@pytest.mark.parametrize(
+    "argv, xi_doc",
+    [
+        (["cohomology", "V-ex31", "--degree", "-1"], None),
+        (["wes", "V-ex31", "--max", "2"], None),
+        (["coherent", "V-ex31", "--xi", "p10=1,p11=2"], None),  # no degree-11 generator
+        (["coherent", "V-ex31", "--xi", "XI_FILE"], [[1]]),
+        (["coherent", "V-ex31", "--xi", "XI_FILE"], {"10": [[1, 2]]}),
+        (["coherent", "V-ex31", "--xi", "XI_FILE"], {"10": [1]}),
+        (["extend", "V-ex31", "--gen", "1:120"], None),
+        (["extend", "W-ex32", "--gen", "120:1"], None),  # d z would gain a linear term
+    ],
+    ids=[
+        "negative-degree",
+        "max-below-3",
+        "xi-degree",
+        "xi-list",
+        "xi-shape",
+        "xi-row",
+        "gen-degree",
+        "gen-exponent",
+    ],
+)
+def test_bad_arguments_exit_2_with_an_error_line(tmp_path, capsys, argv, xi_doc):
+    path = tmp_path / "xi.json"
+    path.write_text(json.dumps(xi_doc))
+    code, out, err = run(capsys, *(str(path) if a == "XI_FILE" else a for a in argv))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+# d(d c) = d(a^2 b) = a^4 != 0
+NOT_A_COMPLEX = "model bad;\ngen a : 2;\ngen b : 3;\ngen c : 6;\nd b = a^2;\nd c = a^2*b;\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "MODEL", "--degree", "7"],
+        ["wes", "MODEL"],
+        ["coherent", "MODEL", "--xi", "p2=1,p3=1,p6=1"],
+        ["solve", "MODEL"],
+        ["iso", "V-ex31", "MODEL"],
+        ["extend", "MODEL", "--gen", "2:2", "--closing", "b"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_refuse_a_model_that_fails_validation(tmp_path, capsys, argv):
+    path = tmp_path / "bad.mcca"
+    path.write_text(NOT_A_COMPLEX)
+    code, out, err = run(capsys, *(str(path) if a == "MODEL" else a for a in argv))
+    assert code == 1
+    assert "fails validation" in err and "d ∘ d = 0 on generators" in err
+    assert "dimension" not in out

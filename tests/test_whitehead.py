@@ -6,7 +6,7 @@ import pytest
 from cohaut.algebra import Generator, Monomial, Polynomial
 from cohaut.cohomology import cohomology
 from cohaut.coherence import GradedLinearMap, try_lift
-from cohaut.model import CochainMorphism, MorphismError, SullivanModel, identity
+from cohaut.model import CochainMorphism, ModelError, MorphismError, SullivanModel, identity
 from cohaut.whitehead import (
     WhiteheadSequence,
     build_wes,
@@ -138,3 +138,12 @@ def test_b_columns_equal_class_of_differential_everywhere(V, W):
             for g, col in zip(node.gens, node.b_columns):
                 cls = gamma.class_of(m.d(P.generator(m.generator(g))))
                 assert tuple(sorted(cls.coords.items())) == col
+
+
+@pytest.mark.parametrize("n_max", [None, 5])
+def test_linear_term_in_a_differential_is_rejected(n_max):
+    # d v = w + a^3 is not decomposable, so d(v) leaves ΛV^{<=|v|-1}
+    a, v, w = Generator("a", 2), Generator("v", 5), Generator("w", 6)
+    m = SullivanModel([a, v, w], {"v": P.generator(w) + P.monomial(mono((a, 3)))})
+    with pytest.raises(ModelError):
+        build_wes(m, n_max)
