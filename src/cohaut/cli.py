@@ -101,6 +101,12 @@ def cmd_cohomology(args) -> int:
     t0 = time.monotonic()
     if args.degree < 0:
         raise UsageError(f"--degree must be >= 0, got {args.degree}")
+    if args.truncate is not None and args.truncate < 0:
+        raise UsageError(f"--truncate must be >= 0, got {args.truncate}")
+    if args.max_representatives < 0:
+        raise UsageError(
+            f"--max-representatives must be >= 0, got {args.max_representatives}"
+        )
     m = _load_valid_model(args.model)
     warnings = list(m.warnings)
     target = m.truncate(args.truncate) if args.truncate is not None else m

@@ -8,6 +8,15 @@ active monomials fall into small components on which dense exact elimination
 is cheap.  Dimensions need only the two boundary ranks per component, so the
 kernel and representative data are computed lazily, on first access.
 
+A truncation ΛV^{<=c} is a sub-complex whose bases are order-preserving
+subsequences of ΛV's (generators are sorted by degree, so its monomials are
+those whose last generator lies in a prefix).  Its window at degree k is
+therefore derived from ΛV's window at k (`CohomologyBasis.below`): blocks with
+every member in ΛV^{<=c} carry over unchanged, and only blocks touching a
+dropped monomial are split again over their kept members.  The result is the
+window the truncation's own complex would build, class for class; it keeps
+ΛV's complex and indices and enters no cache.
+
 All public results (dimensions, representative order, class coordinates) are
 deterministic.  Cohomology is computed per (model, degree) on demand and
 memoized with bounded caches; insertion uses atomic insert-if-absent
@@ -16,6 +25,7 @@ semantics, so concurrent readers are safe.
 
 from __future__ import annotations
 
+import bisect
 import threading
 from collections import OrderedDict
 from fractions import Fraction
@@ -104,7 +114,7 @@ class _Complex:
         return cols
 
     def window(self, degree: int) -> "_Window":
-        return self._windows.get_or_create(degree, lambda: _Window(self, degree))
+        return self._windows.get_or_create(degree, lambda: _Window.build(self, degree))
 
 
 _COMPLEXES = _LRU(32)
@@ -236,76 +246,80 @@ class _Component:
         return {c: xi for c, xi in zip(self.cols_km1, x) if xi}
 
 
-class _Window:
-    """Cohomology data of one model at one degree k (uses degrees k-1..k+1)."""
+def _components(cols_km1, cols_k) -> list[_Component]:
+    """The connected blocks of a window, from its coboundary columns
+    degree k-1 -> k and k -> k+1: union-find over the active monomials, in
+    ascending order of the smallest degree-k member.  Blocks living entirely
+    at k-1/k+1 contribute nothing and are dropped."""
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def __init__(self, cx: _Complex, k: int):
-        self.cx = cx
-        cols_km1 = cx.columns(k - 1)
-        cols_k = cx.columns(k)
-        basis_k = cx.basis(k)
-        # union-find over active monomials at degrees k-1, k, k+1
-        parent: dict[tuple[int, int], tuple[int, int]] = {}
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
 
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
+    def union(x, y):
+        parent.setdefault(x, x)
+        parent.setdefault(y, y)
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
 
-        def union(x, y):
-            parent.setdefault(x, x)
-            parent.setdefault(y, y)
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
-        for c, col in cols_km1.items():
-            a = (0, c)  # level 0 = degree k-1
-            parent.setdefault(a, a)
-            for r, _ in col:
-                union(a, (1, r))
-        for c, col in cols_k.items():
-            a = (1, c)
-            parent.setdefault(a, a)
-            for r, _ in col:
-                union(a, (2, r))
-        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for node in parent:
-            groups.setdefault(find(node), []).append(node)
-        comp_items = sorted(
-            groups.values(),
-            key=lambda members: min((m for d, m in members if d == 1), default=-1),
-        )
-        comps: list[_Component] = []
-        self.comp_of_k: dict[int, int] = {}
-        for members in comp_items:
-            mk = [m for d, m in members if d == 1]
-            if not mk:
-                continue  # component living entirely at k-1/k+1 contributes nothing
-            comp = _Component(
-                [m for d, m in members if d == 0], mk, cols_km1, cols_k
+    for c, col in cols_km1.items():
+        a = (0, c)  # level 0 = degree k-1
+        parent.setdefault(a, a)
+        for r, _ in col:
+            union(a, (1, r))
+    for c, col in cols_k.items():
+        a = (1, c)
+        parent.setdefault(a, a)
+        for r, _ in col:
+            union(a, (2, r))
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for node in parent:
+        groups.setdefault(find(node), []).append(node)
+    comps = []
+    for members in groups.values():
+        mk = [m for d, m in members if d == 1]
+        if mk:
+            comps.append(
+                _Component([m for d, m in members if d == 0], mk, cols_km1, cols_k)
             )
-            cid = len(comps)
-            comps.append(comp)
-            for m in mk:
+    comps.sort(key=lambda comp: comp.rows_k[0])
+    return comps
+
+
+class _Window:
+    """Cohomology data of one model at one degree k (uses degrees k-1..k+1).
+
+    Indices are positions in the bases of `cx`.  A window of a truncation
+    derived by `below` keeps the parent complex and its indices; its degree-k
+    basis is the subsequence `indices_k` of the parent's.
+    """
+
+    def __init__(self, cx: _Complex, k: int, components: list[_Component], indices_k):
+        self.cx = cx
+        self.degree = k
+        self.components = components
+        self.comp_of_k: dict[int, int] = {}
+        for cid, comp in enumerate(components):
+            for m in comp.rows_k:
                 self.comp_of_k[m] = cid
-        self.components = comps
-        self.n_basis = len(basis_k)
-        self.inert_count = self.n_basis - len(self.comp_of_k)
-        self.dimension = self.inert_count + sum(c.dim_h for c in comps)
+        self.dimension = sum(c.dim_h for c in components)
         # global class order: ascending anchor (inert monomial index, or the
         # component's smallest degree-k member index, with dim_h local slots)
         anchors: list[tuple[int, int]] = []  # (anchor index, comp id or -1)
-        active = self.comp_of_k
-        for cid, comp in enumerate(comps):
+        for cid, comp in enumerate(components):
             if comp.dim_h:
                 anchors.append((comp.rows_k[0], cid))
-        for i in range(self.n_basis):
+        active = self.comp_of_k
+        for i in indices_k:
             if i not in active:
                 anchors.append((i, -1))
+                self.dimension += 1
         anchors.sort()
         self.class_pos: dict[tuple[int, int], int] = {}
         self.inert_pos: dict[int, int] = {}
@@ -317,10 +331,56 @@ class _Window:
                 self.class_slots.append((-1, anchor))
                 pos += 1
             else:
-                for local_no in range(comps[cid].dim_h):
+                for local_no in range(components[cid].dim_h):
                     self.class_pos[(cid, local_no)] = pos
                     self.class_slots.append((cid, local_no))
                     pos += 1
+
+    @classmethod
+    def build(cls, cx: _Complex, k: int) -> "_Window":
+        comps = _components(cx.columns(k - 1), cx.columns(k))
+        return cls(cx, k, comps, range(len(cx.basis(k))))
+
+    def below(self, cut: int) -> "_Window":
+        """The window of the truncation ΛV^{<=cut} at the same degree.
+
+        Generators are sorted by degree, so ΛV^{<=cut} is spanned by the
+        monomials whose last generator index lies below the first index of
+        degree > cut; its bases are the order-preserving subsequences of the
+        parent's.  d maps ΛV^{<=cut} into itself (the truncation is a
+        sub-complex), so a block of the parent with every member kept is a
+        block of the truncation with the same matrices; only the blocks that
+        touch a dropped monomial are split again, over their kept members.
+        Needs a minimal model (one that `truncate` accepts).
+        """
+        cx = self.cx
+        p = bisect.bisect_right(cx.view.degs, cut)
+        basis_km1 = cx.basis(self.degree - 1)
+        basis_k = cx.basis(self.degree)
+
+        def kept(mono: Coded) -> bool:
+            return not mono or mono[-2] < p
+
+        comps: list[_Component] = []
+        sub_km1: dict[int, list[tuple[int, Fraction]]] = {}
+        sub_k: dict[int, list[tuple[int, Fraction]]] = {}
+        for comp in self.components:
+            if all(kept(basis_k[g]) for g in comp.rows_k) and all(
+                kept(basis_km1[c]) for c in comp.cols_km1
+            ):
+                comps.append(comp)
+                continue
+            # a kept monomial's column lies in the truncation: take it as is
+            for c in comp.cols_km1:
+                if kept(basis_km1[c]):
+                    sub_km1[c] = comp._cols_km1_src[c]
+            for g in comp.cols_k_members:
+                if kept(basis_k[g]):
+                    sub_k[g] = comp._cols_k_src[g]
+        comps.extend(_components(sub_km1, sub_k))
+        comps.sort(key=lambda comp: comp.rows_k[0])
+        kept_k = [i for i, mono in enumerate(basis_k) if kept(mono)]
+        return _Window(cx, self.degree, comps, kept_k)
 
     # -- queries ----------------------------------------------------------------
 
@@ -391,15 +451,33 @@ class _Window:
 
 
 class CohomologyBasis:
-    """Basis of H^k(model): deterministic representatives and coordinates."""
+    """Basis of H^k(model): deterministic representatives and coordinates.
+
+    Polynomials are coded with the model's own view, so a generator outside
+    the model raises ModelError; indices are looked up in the window's
+    complex, which for a basis from `below` is the parent's (the codes agree
+    on the generator prefix).
+    """
 
     __slots__ = ("model", "degree", "dimension", "_window")
 
-    def __init__(self, model: SullivanModel, degree: int):
+    def __init__(self, model: SullivanModel, degree: int, window: _Window | None = None):
         self.model = model
         self.degree = degree
-        self._window = complex_for(model).window(degree)
+        self._window = window if window is not None else complex_for(model).window(degree)
         self.dimension = self._window.dimension
+
+    def below(self, cut: int) -> "CohomologyBasis":
+        """H^k(model.truncate(cut)), derived from this basis's window (see
+        `_Window.below`) instead of built from the truncation's complex."""
+        trunc = self.model.truncate(cut)
+        if trunc is self.model:
+            return self
+        return CohomologyBasis(trunc, self.degree, self._window.below(cut))
+
+    def image_rank(self) -> int:
+        """dim B^k, the rank of d into degree k."""
+        return self._window.image_rank()
 
     def representative(self, i: int) -> Polynomial:
         vec = self._window.representative_vec(i)
@@ -418,9 +496,9 @@ class CohomologyBasis:
         dp = self.model.d(p)
         if dp:
             raise NotACocycle(f"d(p) = {dp} != 0")
-        cx = self._window.cx
-        index = cx.index(self.degree)
-        vec = {index[cx.view.encode(m)]: c for m, c in p.terms()}
+        index = self._window.cx.index(self.degree)
+        encode = self.model._coded.encode
+        vec = {index[encode(m)]: c for m, c in p.terms()}
         return CohomologyClass(self, self._window.class_of_vec(vec))
 
     def linear_parts(self) -> dict[int, dict[str, Fraction]]:
@@ -434,9 +512,10 @@ class CohomologyBasis:
             return {}
         win = self._window
         index = win.cx.index(self.degree)
+        encode = self.model._coded.encode
         out: dict[int, dict[str, Fraction]] = {}
         for g in gens:
-            gidx = index[win.cx.view.encode(Monomial(((g, 1),)))]
+            gidx = index[encode(Monomial(((g, 1),)))]
             cid = win.comp_of_k.get(gidx)
             if cid is None:
                 out.setdefault(win.inert_pos[gidx], {})[g.name] = _Q1

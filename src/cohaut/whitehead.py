@@ -18,6 +18,13 @@ products of generators of degree <= n-2; d maps the products into
 ΛV^{<=n-2}, and d(V^n) is decomposable of degree n+1, so each of its factors
 has degree <= n-1.  A d(v) with a linear term in V^{n+1} is rejected with
 ModelError when [d(v)] is taken in ΛV^{<=n-1}.
+
+Γ^{n+1} = H^{n+1}(ΛV^{<=n-1}) is read off the H^{n+1}(ΛV) window
+(`CohomologyBasis.below`) rather than built from the truncation's own complex.
+This is exact: d maps ΛV^{<=n-1} into itself and its degree-(n+1) basis is an
+order-preserving subsequence of ΛV's, so the blocks of the window that avoid
+the dropped generators are blocks of the truncation, and the few that do not
+are split again over their kept monomials.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from . import linalg
 from .algebra import Polynomial, Q
-from .cohomology import CohomologyBasis, cohomology, image_rank
+from .cohomology import CohomologyBasis, cohomology
 from .model import CochainMorphism, SullivanModel
 
 
@@ -54,7 +61,7 @@ class WhiteheadSequence:
 
     def gamma_basis(self, n: int) -> CohomologyBasis:
         """H^{n+1}(ΛV^{<=n-1}), the target of b^n."""
-        return cohomology(self.model.truncate(n - 1), n + 1)
+        return cohomology(self.model, n + 1).below(n - 1)
 
     def b_matrix(self, n: int) -> list[list[Fraction]]:
         """Dense matrix of b^n (rows: Γ^{n+1} classes, columns: V^n generators)."""
@@ -71,15 +78,14 @@ class WhiteheadSequence:
 
 def _node(m: SullivanModel, n: int) -> WESNode:
     gens = m.gens_of_degree(n)
-    trunc = m.truncate(n - 1)
-    gamma = cohomology(trunc, n + 1)
+    h = cohomology(m, n + 1)
+    gamma = h.below(n - 1)
     b_cols = []
     for g in gens:
         cls = gamma.class_of(m.d(Polynomial.generator(g)))
         b_cols.append(tuple(sorted(cls.coords.items())))
-    h = cohomology(m, n + 1)
     # dim ker i = dim B^{n+1}(ΛV) - dim B^{n+1}(ΛV^{<=n-1}), see the module docstring
-    ker_i = image_rank(m, n + 1) - image_rank(trunc, n + 1)
+    ker_i = h.image_rank() - gamma.image_rank()
     parts = cohomology(m, n).linear_parts()
     j_parts = tuple(
         (pos, tuple(sorted(d.items()))) for pos, d in sorted(parts.items())
@@ -165,7 +171,8 @@ def check_exactness(w: WhiteheadSequence) -> ExactnessReport:
         node = w.nodes[n]
         rank_b = linalg.sparse_rank(dict(col) for col in node.b_columns)
         # b-fidelity: stored columns must equal the defining classes [d(v)]
-        gamma = w.gamma_basis(n)
+        h_up = cohomology(m, n + 1)
+        gamma = h_up.below(n - 1)
         ok_fid = True
         detail = ""
         for g, col in zip(node.gens, node.b_columns):
@@ -211,7 +218,6 @@ def check_exactness(w: WhiteheadSequence) -> ExactnessReport:
                 )
 
         # node Γ^{n+1}: im b^n = ker i^{n+1}
-        h_up = cohomology(m, n + 1)
         ok_ib = True
         detail = ""
         for g in node.gens:

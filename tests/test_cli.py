@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,21 @@ def test_validate_builtin(capsys):
     assert list(doc) == ["command", "model", "results", "warnings", "timing_ms"]
     assert doc["results"]["ok"] is True
     assert doc["timing_ms"] == 0
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cohaut", "validate", "V-ex31"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "validation of V-ex31: PASS" in proc.stdout
 
 
 def test_validate_file(tmp_path, capsys):
@@ -176,6 +195,8 @@ def test_json_outputs_are_byte_identical_across_runs(capsys):
     "argv, xi_doc",
     [
         (["cohomology", "V-ex31", "--degree", "-1"], None),
+        (["cohomology", "V-ex31", "--degree", "4", "--truncate", "-1"], None),
+        (["cohomology", "V-ex31", "--degree", "4", "--max-representatives", "-1"], None),
         (["wes", "V-ex31", "--max", "2"], None),
         (["coherent", "V-ex31", "--xi", "p10=1,p11=2"], None),  # no degree-11 generator
         (["coherent", "V-ex31", "--xi", "XI_FILE"], [[1]]),
@@ -186,6 +207,8 @@ def test_json_outputs_are_byte_identical_across_runs(capsys):
     ],
     ids=[
         "negative-degree",
+        "negative-truncate",
+        "negative-max-representatives",
         "max-below-3",
         "xi-degree",
         "xi-list",

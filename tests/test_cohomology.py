@@ -14,7 +14,7 @@ from cohaut.cohomology import (
     residues_independent,
     solve_coboundary,
 )
-from cohaut.model import CochainMorphism, identity
+from cohaut.model import CochainMorphism, ModelError, identity
 
 P = Polynomial
 
@@ -301,3 +301,46 @@ def test_concurrent_cohomology_queries_are_safe(W):
         results = list(pool.map(job, range(16)))
     assert len(set(results)) == 1
     assert results[0][0] == 29
+
+
+def _assert_same_window(derived, built, m, n=None):
+    assert derived.dimension == built.dimension
+    assert derived.image_rank() == built.image_rank()
+    assert derived.representatives() == built.representatives()
+    if n is not None:
+        for v in m.gens_of_degree(n):
+            dv = m.d(P.generator(v))
+            assert derived.class_of(dv).coords == built.class_of(dv).coords
+
+
+@pytest.mark.parametrize(
+    "label", ["V-ex31", "W-ex32", "U1", "U2", "U3", "E2", "E3", "E4"]
+)
+def test_window_below_a_cut_matches_the_truncation(label):
+    # H^{n+1}(ΛV^{<=n-1}) derived from the H^{n+1}(ΛV) window equals the one
+    # built from the truncation's own complex, class by class
+    from cohaut.corpus import load_builtin
+
+    m = load_builtin(label)
+    for n in range(3, m.top_degree + 2):
+        h = cohomology(m, n + 1)
+        gamma = h.below(n - 1)
+        assert gamma.model == m.truncate(n - 1)
+        _assert_same_window(gamma, cohomology(m.truncate(n - 1), n + 1), m, n)
+    # cutoffs that drop generators from most blocks of the window
+    for k, cut in ((88, 40), (120, 40), (120, 42)):
+        h = cohomology(m, k)
+        derived = h.below(cut)
+        reused = {id(c) for c in derived._window.components}
+        touched = sum(id(c) not in reused for c in h._window.components)
+        assert 2 * touched > len(h._window.components)
+        _assert_same_window(derived, cohomology(m.truncate(cut), k), m)
+
+
+def test_window_below_codes_with_the_truncation(V):
+    h = cohomology(V, 43)
+    assert h.below(119) is h  # nothing to drop
+    gamma = h.below(42)
+    assert gamma.model == V.truncate(42)
+    with pytest.raises(ModelError):  # y2 lies outside ΛV^{<=42}
+        gamma.class_of(P.generator(V.generator("y2")))

@@ -147,3 +147,25 @@ def test_linear_term_in_a_differential_is_rejected(n_max):
     m = SullivanModel([a, v, w], {"v": P.generator(w) + P.monomial(mono((a, 3)))})
     with pytest.raises(ModelError):
         build_wes(m, n_max)
+
+
+def test_wes_builds_no_complex_for_a_truncation(monkeypatch):
+    # Γ^{n+1} = H^{n+1}(ΛV^{<=n-1}) is derived from the H^{n+1}(ΛV) window;
+    # fresh caches make a reverted path show as a truncation's complex
+    import importlib
+
+    from cohaut.corpus import load_builtin
+
+    cohomology_module = importlib.import_module("cohaut.cohomology")
+    m = load_builtin("E3")
+    built = []
+    init = cohomology_module._Complex.__init__
+
+    def spy(self, model):
+        built.append(model)
+        init(self, model)
+
+    monkeypatch.setattr(cohomology_module, "_COMPLEXES", cohomology_module._LRU(32))
+    monkeypatch.setattr(cohomology_module._Complex, "__init__", spy)
+    assert check_exactness(build_wes(m)).ok
+    assert built == [m]
