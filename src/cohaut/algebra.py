@@ -362,6 +362,28 @@ def _mul_coded(odd: Sequence[bool], a: Coded, b: Coded) -> tuple[int, Coded | No
     return sign, tuple(res)
 
 
+def _div_coded(a: Coded, b: Coded) -> Coded | None:
+    """The word a / b, or None when b does not divide a."""
+    out: list[int] = []
+    i = 0
+    la = len(a)
+    for j in range(0, len(b), 2):
+        g = b[j]
+        while i < la and a[i] < g:
+            out.append(a[i])
+            out.append(a[i + 1])
+            i += 2
+        if i == la or a[i] != g or a[i + 1] < b[j + 1]:
+            return None
+        e = a[i + 1] - b[j + 1]
+        if e:
+            out.append(g)
+            out.append(e)
+        i += 2
+    out.extend(a[i:])
+    return tuple(out)
+
+
 def _mul_poly_coded(
     odd: Sequence[bool], a: Mapping[Coded, Fraction], b: Mapping[Coded, Fraction]
 ) -> dict[Coded, Fraction]:

@@ -17,6 +17,21 @@ dropped monomial are split again over their kept members.  The result is the
 window the truncation's own complex would build, class for class; it keeps
 ΛV's complex and indices and enters no cache.
 
+Questions about a few degree-k monomials (`residues_independent`,
+`solve_coboundary`) are answered on their local block, not on a window.  The
+block is the closure of the queried monomials over the edges u -> M of
+d: degree k-1 -> k.  Forward edges are the terms of d(u).  Backward edges come
+from divisibility: d is a derivation, so M is a term of d(u) only if
+u = (M/t)·v for a generator v and a term t of d(v) dividing M; each such
+candidate is kept if M survives in d(u).  The closure is exact: d(u) lies in
+u's block, so a relation Σ aᵢMᵢ = d(Σ bⱼuⱼ) restricts to the blocks of the
+Mᵢ.  `solve_coboundary` orders the block's columns by basis order
+(descending lexicographic exponent vectors, as `_enumerate` lists them).  The
+system of the whole degree is block-diagonal, and the pivot columns of a
+block-diagonal matrix are the union of each block's pivot columns in any
+interleaving, so the free-variables-zero solution is the one the whole
+degree-k system gives; blocks with a zero right-hand side contribute 0.
+
 All public results (dimensions, representative order, class coordinates) are
 deterministic.  Cohomology is computed per (model, degree) on demand and
 memoized with bounded caches; insertion uses atomic insert-if-absent
@@ -32,8 +47,8 @@ from fractions import Fraction
 from typing import Callable
 
 from . import linalg
-from .algebra import Coded, Monomial, Polynomial, Q, _enumerate
-from .model import SullivanModel
+from .algebra import Coded, Monomial, Polynomial, Q, _div_coded, _enumerate, _mul_coded
+from .model import SullivanModel, _CodedModel
 
 _Q0 = Q(0)
 _Q1 = Q(1)
@@ -230,21 +245,6 @@ class _Component:
             raise NotACocycle("vector is not a cocycle of this complex")
         return coords
 
-    def solve_preimage(self, v: list[Fraction]) -> dict[int, Fraction] | None:
-        """u with (incoming differential)(u) = v, free variables zero."""
-        if not self.cols_km1:
-            return {} if not any(v) else None
-        cols_km1 = self._cols_km1_src
-        n = len(self.rows_k)
-        mat = [[_Q0] * len(self.cols_km1) for _ in range(n)]
-        for j, c in enumerate(self.cols_km1):
-            for r, val in cols_km1[c]:
-                mat[self.loc[r]][j] = val
-        x = linalg.solve(mat, v)
-        if x is None:
-            return None
-        return {c: xi for c, xi in zip(self.cols_km1, x) if xi}
-
 
 def _components(cols_km1, cols_k) -> list[_Component]:
     """The connected blocks of a window, from its coboundary columns
@@ -384,55 +384,26 @@ class _Window:
 
     # -- queries ----------------------------------------------------------------
 
-    def _split(
-        self, vec: dict[int, Fraction]
-    ) -> tuple[dict[int, Fraction], list[tuple[int, list[Fraction]]]]:
-        """A sparse degree-k vector as its inert part and one dense vector per
-        component, in ascending component order."""
-        inert: dict[int, Fraction] = {}
+    def class_of_vec(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Class coordinates (sparse, by class position) of a cocycle vector:
+        inert monomials are classes, the rest is split into one dense vector
+        per component."""
+        out: dict[int, Fraction] = {}
         parts: dict[int, list[Fraction]] = {}
         for idx, val in vec.items():
             cid = self.comp_of_k.get(idx)
             if cid is None:
-                inert[idx] = val
+                out[self.inert_pos[idx]] = val
                 continue
             comp = self.components[cid]
             v = parts.get(cid)
             if v is None:
                 v = parts[cid] = [_Q0] * len(comp.rows_k)
             v[comp.loc[idx]] = val
-        return inert, sorted(parts.items())
-
-    def class_of_vec(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Class coordinates (sparse, by class position) of a cocycle vector."""
-        inert, parts = self._split(vec)
-        out = {self.inert_pos[idx]: val for idx, val in inert.items()}
-        for cid, v in parts:
+        for cid, v in sorted(parts.items()):
             for local_no, coord in enumerate(self.components[cid].class_coords(v)):
                 if coord:
                     out[self.class_pos[(cid, local_no)]] = coord
-        return out
-
-    def solve_preimage_vec(self, vec: dict[int, Fraction]) -> dict[int, Fraction] | None:
-        """u (sparse over basis(k-1)) with d(u) = vec, or None."""
-        inert, parts = self._split(vec)
-        if inert:
-            return None  # inert monomials are never coboundaries
-        out: dict[int, Fraction] = {}
-        for cid, v in parts:
-            u = self.components[cid].solve_preimage(v)
-            if u is None:
-                return None
-            out.update(u)
-        return out
-
-    def residue(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """vec reduced modulo the image of the incoming d, sparse over basis(k)."""
-        out, parts = self._split(vec)
-        for cid, v in parts:
-            comp = self.components[cid]
-            red = comp._reduce_by_image(v)
-            out.update((comp.rows_k[i], x) for i, x in enumerate(red) if x)
         return out
 
     def image_rank(self) -> int:
@@ -592,33 +563,83 @@ def image_rank(m: SullivanModel, k: int) -> int:
     return complex_for(m).window(k).image_rank()
 
 
+def _block(view: _CodedModel, monos: list[Coded]) -> dict[Coded, dict[Coded, Fraction]]:
+    """The degree-(k-1) side of the local block of some degree-k monomials:
+    each u with a term of d(u) in the closure of `monos` over the edges u -> M
+    (M a term of d(u)), mapped to its column d(u); see the module docstring."""
+    odd = view.odd
+    d_coded = view.d_coded
+    terms = [(v, t) for v, dv in view.diff.items() for t, _ in dv]
+    seen = set(monos)
+    todo = list(dict.fromkeys(monos))
+    cols: dict[Coded, dict[Coded, Fraction]] = {}
+    while todo:
+        big = todo.pop()
+        for v, t in terms:
+            rest = _div_coded(big, t)
+            if rest is None:
+                continue
+            sign, u = _mul_coded(odd, rest, (v, 1))
+            if not sign or u in cols:
+                continue
+            col = d_coded(u)
+            if big in col:  # else the term cancels in d(u)
+                cols[u] = col
+                for hit in col:
+                    if hit not in seen:
+                        seen.add(hit)
+                        todo.append(hit)
+    return cols
+
+
 def residues_independent(m: SullivanModel, k: int, monos: list[Monomial]) -> bool:
     """True iff the degree-k monomials are linearly independent modulo the
-    coboundaries of m (residues computed component-locally)."""
-    cx = complex_for(m)
-    win = cx.window(k)
-    index = cx.index(k)
-    residues = [win.residue({index[cx.view.encode(mono)]: _Q1}) for mono in monos]
-    return linalg.sparse_rank(residues) == len(monos)
+    coboundaries of m, decided on their local block."""
+    for mono in monos:
+        if mono.degree != k:
+            raise ValueError(f"monomial {mono} has degree {mono.degree}, expected {k}")
+    view = m._coded
+    coded = [view.encode(mono) for mono in monos]
+    cols = list(_block(view, coded).values())
+    units = [{c: _Q1} for c in coded]
+    return linalg.sparse_rank(cols + units) - linalg.sparse_rank(cols) == len(coded)
 
 
 def solve_coboundary(m: SullivanModel, k: int, rhs: Polynomial) -> Polynomial | None:
-    """u of degree k-1 with d(u) = rhs (free variables zero), or None."""
+    """u of degree k-1 with d(u) = rhs (free variables zero), or None.
+
+    Solved on the local block of rhs with its columns in basis order, which
+    gives the u of the whole degree-k system."""
     if rhs.is_zero():
         return Polynomial.zero()
     if rhs.homogeneous_degree() != k:
         raise ValueError(f"rhs has degree {rhs.homogeneous_degree()}, expected {k}")
-    cx = complex_for(m)
-    index = cx.index(k)
-    try:
-        vec = {index[cx.view.encode(mono)]: c for mono, c in rhs.terms()}
-    except KeyError:
-        raise ValueError("rhs contains monomials outside the model")
-    u = cx.window(k).solve_preimage_vec(vec)
-    if u is None:
+    view = m._coded
+    vec = view.encode_poly(rhs)
+    cols = _block(view, list(vec))
+    rows: dict[Coded, int] = {}
+    for col in cols.values():
+        for mono in col:
+            rows.setdefault(mono, len(rows))
+    if not rows.keys() >= vec.keys():
+        return None  # a monomial of rhs is a term of no d(u)
+    n = len(view.degs)
+
+    def exponents(u: Coded) -> list[int]:
+        e = [0] * n
+        for p in range(0, len(u), 2):
+            e[u[p]] = u[p + 1]
+        return e
+
+    order = sorted(cols, key=exponents, reverse=True)  # basis order
+    mat = [[_Q0] * len(order) for _ in rows]
+    for j, u in enumerate(order):
+        for mono, c in cols[u].items():
+            mat[rows[mono]][j] = c
+    x = linalg.solve(mat, [vec.get(mono, _Q0) for mono in rows])
+    if x is None:
         return None
-    b = cx.basis(k - 1)
-    return Polynomial({cx.view.decode(b[i]): c for i, c in u.items()})
+    return Polynomial({view.decode(u): c for u, c in zip(order, x) if c})
 
 
 def induced_map(f, k: int) -> list[list[Fraction]]:

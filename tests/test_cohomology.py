@@ -1,22 +1,29 @@
+import functools
+import importlib
+from datetime import timedelta
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohaut import linalg
-from cohaut.algebra import Monomial, Polynomial
+from cohaut.algebra import Generator, Monomial, Polynomial
 from cohaut.cohomology import (
     NotACocycle,
     class_of,
     coboundary_matrix,
     cohomology,
+    complex_for,
     image_rank,
     induced_map,
     residues_independent,
     solve_coboundary,
 )
-from cohaut.model import CochainMorphism, ModelError, identity
+from cohaut.model import CochainMorphism, ModelError, SullivanModel, identity
 
 P = Polynomial
+cohomology_module = importlib.import_module("cohaut.cohomology")
 
 
 def mono(*factors):
@@ -279,6 +286,157 @@ def test_residues_independent(V, W):
     assert V.d(P.monomial(mono((y1, 1), (y2, 1)))) == P.monomial(a) - P.monomial(b)
     assert residues_independent(V, 85, [a]) and residues_independent(V, 85, [b])
     assert not residues_independent(V, 85, [a, b])
+    for case in ([a], [b], [a, b], [b, a], [a, a]):
+        assert residues_independent(V, 85, case) == _window_residues_independent(V, 85, case)
+
+
+# --- local block queries against the window and the dense system -------------------
+
+
+def _window_residues_independent(m, k, monos):
+    """residues_independent from the whole degree-k window: each monomial
+    reduced by the image rows of its component, then one sparse rank."""
+    cx = complex_for(m)
+    win, index = cx.window(k), cx.index(k)
+    residues = []
+    for mo in monos:
+        i = index[cx.view.encode(mo)]
+        cid = win.comp_of_k.get(i)
+        if cid is None:
+            residues.append({i: Q(1)})
+            continue
+        comp = win.components[cid]
+        v = [Q(0)] * len(comp.rows_k)
+        v[comp.loc[i]] = Q(1)
+        red = comp._reduce_by_image(v)
+        residues.append({comp.rows_k[j]: x for j, x in enumerate(red) if x})
+    return linalg.sparse_rank(residues) == len(monos)
+
+
+def _dense_solve_coboundary(m, k, rhs):
+    """The free-variables-zero u over the whole bases of degrees k-1 and k."""
+    x = linalg.solve(coboundary_matrix(m, k - 1), m.coordinates(rhs, k))
+    if x is None:
+        return None
+    return P({b: c for b, c in zip(m.basis(k - 1), x) if c})
+
+
+def _local_block(m, rhs):
+    view = m._coded
+    return cohomology_module._block(view, [view.encode(mo) for mo in rhs.monomials()])
+
+
+@pytest.mark.parametrize("label", ["V-ex31", "W-ex32", "E3", "E5", "E7", "U3", "U6", "U8"])
+def test_residues_independent_matches_the_window_on_every_differential(label):
+    from cohaut.corpus import load_builtin
+
+    m = load_builtin(label)
+    dependent = 0
+    for v in m.generators:
+        monos = m.differential(v).monomials()
+        if not monos:
+            continue
+        k = v.degree + 1
+        # at the truncation the extraction asks about, and in ΛV, where d(v)
+        # itself makes the monomials dependent
+        for t in (m.truncate(v.degree - 1), m):
+            cases = [monos] + [[mo] for mo in monos]
+            for case in cases:
+                local = residues_independent(t, k, case)
+                assert local == _window_residues_independent(t, k, case), (t.label, k, case)
+                dependent += not local
+    assert dependent >= 1
+
+
+@functools.lru_cache(maxsize=None)
+def _draw_pools(label, k):
+    """The degree-k basis of a builtin, and its members of window blocks."""
+    from cohaut.corpus import load_builtin
+
+    m = load_builtin(label)
+    cx = complex_for(m)
+    basis = cx.basis(k)
+    active = sorted(i for c in cx.window(k).components for i in c.rows_k)
+    decode = cx.view.decode
+    return m, [decode(b) for b in basis], [decode(basis[i]) for i in active]
+
+
+@settings(derandomize=True, deadline=timedelta(seconds=5), max_examples=150)
+@given(data=st.data())
+def test_residues_independent_matches_the_window_on_random_sets(data):
+    label = data.draw(st.sampled_from(["W-ex32", "U2", "E3"]))
+    k = data.draw(st.sampled_from([60, 85, 88, 100, 120]))
+    m, basis, active = _draw_pools(label, k)
+    pool = data.draw(st.sampled_from([active, active, basis]))
+    monos = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    assert residues_independent(m, k, monos) == _window_residues_independent(m, k, monos)
+
+
+@pytest.mark.parametrize(
+    "label, k", [("V-ex31", 98), ("V-ex31", 120), ("W-ex32", 88), ("W-ex32", 120), ("E3", 100)]
+)
+def test_solve_coboundary_matches_the_dense_solution(label, k):
+    import random
+
+    from cohaut.corpus import load_builtin
+
+    m = load_builtin(label)
+    rng = random.Random(k)
+    basis = m.basis(k - 1)
+    wide = 0
+    for _ in range(12):
+        u = P({mo: Q(rng.randint(-3, 3)) for mo in rng.sample(basis, min(3, len(basis)))})
+        rhs = m.d(u)
+        if rhs.is_zero():
+            continue
+        got = solve_coboundary(m, k, rhs)
+        assert got is not None and m.d(got) == rhs
+        assert got == _dense_solve_coboundary(m, k, rhs)
+        wide += len(_local_block(m, rhs)) >= 2
+    assert wide >= 1
+
+
+def test_solve_coboundary_keeps_basis_order_in_a_wide_block(V):
+    # the three degree-97 columns x1^4 x2 y3, x1^3 x2^2 y2, x1^2 x2^3 y1 all hit
+    # x1^5 x2^4: the free-variables-zero u is the first of them in basis order
+    x1, x2 = V.generator("x1"), V.generator("x2")
+    y1, y3 = V.generator("y1"), V.generator("y3")
+    last = P.monomial(mono((x1, 2), (x2, 3), (y1, 1)))
+    for t in (V.truncate(45), V):
+        rhs = t.d(last.scale(Q(-2, 3)))
+        assert len(_local_block(t, rhs)) == 3
+        u = solve_coboundary(t, 98, rhs)
+        assert u == P.monomial(mono((x1, 4), (x2, 1), (y3, 1)), Q(-2, 3))
+        assert u == _dense_solve_coboundary(t, 98, rhs)
+
+
+def test_local_block_is_closed_over_chains():
+    # x^2 = d(a - b + c), although only d(a) contains x^2: the block must
+    # follow x y and y^2 to the columns of b and c
+    x, y = Generator("x", 2), Generator("y", 2)
+    a, b, c = Generator("a", 3), Generator("b", 3), Generator("c", 3)
+    xx, xy, yy = (P.monomial(mono(*f)) for f in (((x, 2),), ((x, 1), (y, 1)), ((y, 2),)))
+    m = SullivanModel([x, y, a, b, c], {"a": xx + xy, "b": xy + yy, "c": yy})
+    x2 = mono((x, 2))
+    assert not residues_independent(m, 4, [x2])
+    assert not _window_residues_independent(m, 4, [x2])
+    u = solve_coboundary(m, 4, xx)
+    assert u == P.generator(a) - P.generator(b) + P.generator(c)
+    assert u == _dense_solve_coboundary(m, 4, xx)
+
+
+def test_local_queries_reject_generators_outside_and_wrong_degrees(V):
+    t = V.truncate(40)
+    y1 = V.generator("y1")
+    with pytest.raises(ModelError):
+        solve_coboundary(t, 41, P.generator(y1))
+    with pytest.raises(ModelError):
+        residues_independent(t, 41, [mono((y1, 1))])
+    x1 = V.generator("x1")
+    with pytest.raises(ValueError, match="degree 10, expected 41"):
+        solve_coboundary(V, 41, P.generator(x1))
+    with pytest.raises(ValueError, match="degree 10, expected 41"):
+        residues_independent(V, 41, [mono((x1, 1))])
 
 
 def test_induced_map_of_non_morphism_is_rejected_at_construction(V):

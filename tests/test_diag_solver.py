@@ -292,3 +292,39 @@ def test_one_sided_monomial_forces_zero(V):
     decision = coherent_iso_exists(V, trimmed)
     assert not decision.isomorphic
     assert "one side only" in decision.reason
+
+
+def test_extraction_and_coboundary_lifts_build_no_window(monkeypatch, V, W):
+    # residues_independent and solve_coboundary answer from the local block of
+    # their monomials; fresh caches make a reverted window path show here
+    import importlib
+
+    from cohaut.coherence import GradedLinearMap
+    from cohaut.corpus import load_builtin
+
+    cohomology_module = importlib.import_module("cohaut.cohomology")
+    built = []
+    build = cohomology_module._Window.build.__func__
+
+    def spy(cls, cx, k):
+        built.append((cx.model.label, k))
+        return build(cls, cx, k)
+
+    monkeypatch.setattr(cohomology_module, "_COMPLEXES", cohomology_module._LRU(32))
+    monkeypatch.setattr(cohomology_module._Window, "build", classmethod(spy))
+    for m in (V, W, load_builtin("E3")):
+        extract_constraints(m)
+    # V-ex31 and W-ex32 have different degrees, so cross pairs share them
+    trimmed_dz = V.differential("z") - P.monomial(mono((V.generator("x2"), 10)))
+    diff = {g.name: V.differential(g) for g in V.generators}
+    trimmed = SullivanModel(V.generators, {**diff, "z": trimmed_dz}, label="V-trimmed")
+    extract_cross_constraints(V, trimmed)
+    extract_cross_constraints(W, load_builtin("E2"))
+    assert try_lift(GradedLinearMap.identity(W)).ok
+    # a lift whose stage defect -6 a^3 is a coboundary (see the test above)
+    a, b, v = Generator("a", 2), Generator("b", 3), Generator("v", 5)
+    m = SullivanModel(
+        [a, b, v], {"b": P.monomial(mono((a, 2))), "v": P.monomial(mono((a, 3)))}
+    )
+    assert try_lift(as_linear_map(extract_constraints(m), (Q(1), Q(1), Q(7)))).ok
+    assert built == []
