@@ -8,6 +8,7 @@ to zero; even-degree generators commute.  All coefficients are exact
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +23,11 @@ class AlgebraError(ValueError):
     pass
 
 
+# Generator names, as the model text format (dsl.py) reads them.
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENTIFIER_RE = re.compile(IDENTIFIER)
+
+
 @dataclass(frozen=True)
 class Generator:
     """A free generator with a positive degree >= 2 (1-connectedness)."""
@@ -30,7 +36,7 @@ class Generator:
     degree: int
 
     def __post_init__(self) -> None:
-        if not self.name or not all(c.isalnum() or c == "_" for c in self.name):
+        if not _IDENTIFIER_RE.fullmatch(self.name):
             raise AlgebraError(f"bad generator name {self.name!r}")
         if self.degree < 2:
             raise AlgebraError(f"generator {self.name} has degree {self.degree} < 2")
@@ -98,37 +104,25 @@ def canonicalize(
     """Sort a raw factor list into canonical order with its Koszul sign.
 
     Returns (sign, monomial), or None when the word is zero because an
-    odd-degree generator acquires exponent >= 2.  The sign is (-1)^t where t
-    counts transpositions of odd-degree factors needed to sort the word.
+    odd-degree generator acquires exponent >= 2.  The factors are multiplied
+    left to right, so the sign is that of the graded-commutative product.
     """
     items = list(raw)
     for g, e in items:
         if e < 1:
             raise AlgebraError(f"exponent {e} < 1 for generator {g.name}")
-    # Koszul sign: parity of inversions in the subsequence of odd factors
-    # (each odd factor is a single odd element; exponents e >= 2 on an odd
-    # generator die below anyway).
-    odd_keys = []
+    gens = _sorted_gens({g for g, _ in items})
+    index = {g: i for i, g in enumerate(gens)}
+    odd = tuple(g.is_odd for g in gens)
+    sign, word = 1, ()
     for g, e in items:
-        if g.is_odd:
-            odd_keys.extend([g.sort_key] * e)
-    inversions = 0
-    for i in range(len(odd_keys)):
-        for j in range(i + 1, len(odd_keys)):
-            if odd_keys[i] > odd_keys[j]:
-                inversions += 1
-    sign = -1 if inversions % 2 else 1
-    items.sort(key=lambda fe: fe[0].sort_key)
-    merged: list[tuple[Generator, int]] = []
-    for g, e in items:
-        if merged and merged[-1][0] == g:
-            merged[-1] = (g, merged[-1][1] + e)
-        else:
-            merged.append((g, e))
-    for g, e in merged:
         if g.is_odd and e >= 2:
             return None
-    return sign, Monomial(tuple(merged))
+        s, word = _mul_coded(odd, word, (index[g], e))
+        if not s:
+            return None
+        sign *= s
+    return sign, _decode(gens, word)
 
 
 class Polynomial:

@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 
 from . import corpus, diagsolve, dsl
-from .algebra import Q
+from .algebra import AlgebraError, Q
 from .coherence import GradedLinearMap, ShapeError, gap_report, try_lift
 from .cohomology import cohomology
 from .model import ModelError, SullivanModel, extend_tower
@@ -372,7 +372,10 @@ def cmd_extend(args) -> int:
         raise UsageError(f"--gen must be d:k or d:k:name, got {args.gen!r}")
     if degree < 2 or exponent < 2:
         raise UsageError(f"--gen needs degree >= 2 and exponent >= 2, got {args.gen!r}")
-    extended = extend_tower(m, args.closing, degree, exponent, name=name or None)
+    try:
+        extended = extend_tower(m, args.closing, degree, exponent, name=name or None)
+    except AlgebraError as exc:  # a generator name the model text cannot hold
+        raise UsageError(str(exc))
     text = dsl.serialize(extended)
     results = {
         "label": extended.label,

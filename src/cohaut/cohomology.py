@@ -6,7 +6,10 @@ of the other.  Most monomials of a big model are inert (closed, and never hit
 by a differential), so they are their own cohomology classes; the remaining
 active monomials fall into small components on which dense exact elimination
 is cheap.  Dimensions need only the two boundary ranks per component, so the
-kernel and representative data are computed lazily, on first access.
+kernel and representative data are computed lazily, on first access.  Classes
+are numbered by ascending anchor (an inert monomial, or a block's smallest
+degree-k member followed by the block's echelon classes); each window finds
+them in one sorted anchor table with `bisect`.
 
 A truncation ΛV^{<=c} is a sub-complex whose bases are order-preserving
 subsequences of ΛV's (generators are sorted by degree, so its monomials are
@@ -148,23 +151,21 @@ class _Component:
 
     __slots__ = (
         "rows_k",
-        "loc",
         "cols_km1",
         "cols_k_members",
         "_cols_km1_src",
         "_cols_k_src",
         "img_rows",
         "img_pivots",
-        "rank_out",
         "dim_h",
         "_h_rows",
         "_h_pivots",
     )
 
     def __init__(self, members_km1, members_k, cols_km1, cols_k):
-        self.cols_km1 = sorted(m for m in members_km1 if m in cols_km1)
+        # rows_k is sorted, so bisect_left(rows_k, g) is the local row of g
+        self.cols_km1 = sorted(members_km1)
         self.rows_k = rows = sorted(members_k)
-        self.loc = loc = {g: i for i, g in enumerate(rows)}
         self._cols_km1_src = cols_km1
         self._cols_k_src = cols_k
         n = len(rows)
@@ -172,7 +173,7 @@ class _Component:
         for c in self.cols_km1:
             v = [_Q0] * n
             for r, val in cols_km1[c]:
-                v[loc[r]] = val
+                v[bisect.bisect_left(rows, r)] = val
             img_vecs.append(v)
         red, self.img_pivots, rk = linalg.rref(img_vecs)
         self.img_rows = red[:rk]
@@ -181,7 +182,6 @@ class _Component:
             rank_out = 1  # a stored column is nonzero by construction
         else:
             rank_out = linalg.rank(self._outgoing_matrix())
-        self.rank_out = rank_out
         self.dim_h = n - rank_out - len(self.img_rows)
         self._h_rows = None
         self._h_pivots = None
@@ -197,7 +197,7 @@ class _Component:
             for r, _ in col:
                 if r not in up_rows:
                     up_rows[r] = len(up_rows)
-            entries.append((self.loc[g], col))
+            entries.append((bisect.bisect_left(self.rows_k, g), col))
         if not up_rows:
             return []
         mat = [[_Q0] * len(self.rows_k) for _ in range(len(up_rows))]
@@ -298,6 +298,11 @@ class _Window:
     Indices are positions in the bases of `cx`.  A window of a truncation
     derived by `below` keeps the parent complex and its indices; its degree-k
     basis is the subsequence `indices_k` of the parent's.
+
+    The class layout is the sorted table `anchors`: anchor j is an inert
+    monomial (`owners[j] == -1`, one class) or the smallest degree-k member
+    of block `owners[j]` (`dim_h` classes), and its classes start at position
+    `starts[j]`.
     """
 
     def __init__(self, cx: _Complex, k: int, components: list[_Component], indices_k):
@@ -308,33 +313,18 @@ class _Window:
         for cid, comp in enumerate(components):
             for m in comp.rows_k:
                 self.comp_of_k[m] = cid
-        self.dimension = sum(c.dim_h for c in components)
-        # global class order: ascending anchor (inert monomial index, or the
-        # component's smallest degree-k member index, with dim_h local slots)
-        anchors: list[tuple[int, int]] = []  # (anchor index, comp id or -1)
-        for cid, comp in enumerate(components):
-            if comp.dim_h:
-                anchors.append((comp.rows_k[0], cid))
         active = self.comp_of_k
-        for i in indices_k:
-            if i not in active:
-                anchors.append((i, -1))
-                self.dimension += 1
-        anchors.sort()
-        self.class_pos: dict[tuple[int, int], int] = {}
-        self.inert_pos: dict[int, int] = {}
-        self.class_slots: list[tuple[int, int]] = []  # (comp id or -1, payload)
+        table = [(comp.rows_k[0], cid) for cid, comp in enumerate(components) if comp.dim_h]
+        table.extend((i, -1) for i in indices_k if i not in active)
+        table.sort()
+        self.anchors = [anchor for anchor, _ in table]
+        self.owners = [cid for _, cid in table]
+        self.starts: list[int] = []
         pos = 0
-        for anchor, cid in anchors:
-            if cid < 0:
-                self.inert_pos[anchor] = pos
-                self.class_slots.append((-1, anchor))
-                pos += 1
-            else:
-                for local_no in range(components[cid].dim_h):
-                    self.class_pos[(cid, local_no)] = pos
-                    self.class_slots.append((cid, local_no))
-                    pos += 1
+        for cid in self.owners:
+            self.starts.append(pos)
+            pos += components[cid].dim_h if cid >= 0 else 1
+        self.dimension = pos
 
     @classmethod
     def build(cls, cx: _Complex, k: int) -> "_Window":
@@ -384,6 +374,10 @@ class _Window:
 
     # -- queries ----------------------------------------------------------------
 
+    def _start(self, anchor: int) -> int:
+        """First class position of an anchor."""
+        return self.starts[bisect.bisect_left(self.anchors, anchor)]
+
     def class_of_vec(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         """Class coordinates (sparse, by class position) of a cocycle vector:
         inert monomials are classes, the rest is split into one dense vector
@@ -393,28 +387,47 @@ class _Window:
         for idx, val in vec.items():
             cid = self.comp_of_k.get(idx)
             if cid is None:
-                out[self.inert_pos[idx]] = val
+                out[self._start(idx)] = val
                 continue
             comp = self.components[cid]
             v = parts.get(cid)
             if v is None:
                 v = parts[cid] = [_Q0] * len(comp.rows_k)
-            v[comp.loc[idx]] = val
+            v[bisect.bisect_left(comp.rows_k, idx)] = val
         for cid, v in sorted(parts.items()):
-            for local_no, coord in enumerate(self.components[cid].class_coords(v)):
+            comp = self.components[cid]
+            for local_no, coord in enumerate(comp.class_coords(v)):
                 if coord:
-                    out[self.class_pos[(cid, local_no)]] = coord
+                    out[self._start(comp.rows_k[0]) + local_no] = coord
         return out
+
+    def classes_containing(self, mono: Coded) -> dict[int, Fraction]:
+        """{class position: coefficient of the degree-k monomial `mono` in
+        that class's representative}."""
+        idx = self.cx.index(self.degree)[mono]
+        cid = self.comp_of_k.get(idx)
+        if cid is None:
+            return {self._start(idx): _Q1}
+        comp = self.components[cid]
+        loc = bisect.bisect_left(comp.rows_k, idx)
+        return {
+            self._start(comp.rows_k[0]) + local_no: row[loc]
+            for local_no, row in enumerate(comp.h_rows)
+            if row[loc]
+        }
 
     def image_rank(self) -> int:
         return sum(len(c.img_rows) for c in self.components)
 
     def representative_vec(self, pos: int) -> dict[int, Fraction]:
-        cid, payload = self.class_slots[pos]
+        if not 0 <= pos < self.dimension:
+            raise IndexError(f"class position {pos} out of range 0..{self.dimension - 1}")
+        j = bisect.bisect_right(self.starts, pos) - 1
+        cid = self.owners[j]
         if cid < 0:
-            return {payload: _Q1}
+            return {self.anchors[j]: _Q1}
         comp = self.components[cid]
-        row = comp.h_rows[payload]
+        row = comp.h_rows[pos - self.starts[j]]
         return {comp.rows_k[i]: v for i, v in enumerate(row) if v}
 
 
@@ -481,22 +494,11 @@ class CohomologyBasis:
         gens = self.model.gens_of_degree(self.degree)
         if not gens:
             return {}
-        win = self._window
-        index = win.cx.index(self.degree)
         encode = self.model._coded.encode
         out: dict[int, dict[str, Fraction]] = {}
         for g in gens:
-            gidx = index[encode(Monomial(((g, 1),)))]
-            cid = win.comp_of_k.get(gidx)
-            if cid is None:
-                out.setdefault(win.inert_pos[gidx], {})[g.name] = _Q1
-            else:
-                comp = win.components[cid]
-                loc = comp.loc[gidx]
-                for local_no, row in enumerate(comp.h_rows):
-                    if row[loc]:
-                        pos = win.class_pos[(cid, local_no)]
-                        out.setdefault(pos, {})[g.name] = row[loc]
+            for pos, c in self._window.classes_containing(encode(Monomial(((g, 1),)))).items():
+                out.setdefault(pos, {})[g.name] = c
         return out
 
     def __repr__(self) -> str:

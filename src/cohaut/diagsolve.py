@@ -461,10 +461,7 @@ def _solve_support(
             return None
         for i in range(n):
             pos[i] *= Q(p) ** y[i]
-    pos_kernel = tuple(
-        tuple(vec) for vec in (linalg.kernel_z(a_rows, n) if a_rows else
-                               [[1 if i == j else 0 for i in range(n)] for j in range(n)])
-    )
+    pos_kernel = tuple(tuple(vec) for vec in linalg.kernel_z(a_rows, n))
     return Branch(
         zero=zero,
         nonzero=nz,

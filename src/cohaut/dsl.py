@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from .algebra import Generator, Polynomial, Q
+from .algebra import IDENTIFIER, Generator, Polynomial, Q
 from .model import SullivanModel
 
 
@@ -36,10 +36,10 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
+    rf"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
       | (?P<number>\d+)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<name>{IDENTIFIER})
       | (?P<punct>[;:=+\-*/^])
     """,
     re.VERBOSE,
@@ -261,18 +261,7 @@ def serialize(m: SullivanModel) -> str:
         dg = m.differential(g)
         if not dg:
             continue
-        parts = []
-        for mono, c in dg.terms():
-            body = "*".join(
-                f"{gen.name}^{e}" if e > 1 else gen.name for gen, e in mono.factors
-            )
-            mag = abs(c)
-            text = body if mag == 1 else f"{mag}*{body}"
-            if not parts:
-                parts.append(text if c > 0 else f"-{text}")
-            else:
-                parts.append(f" + {text}" if c > 0 else f" - {text}")
-        lines.append(f"d {g.name} = {''.join(parts)};")
+        lines.append(f"d {g.name} = {dg};")
     return "\n".join(lines) + "\n"
 
 

@@ -204,6 +204,9 @@ def test_json_outputs_are_byte_identical_across_runs(capsys):
         (["coherent", "V-ex31", "--xi", "XI_FILE"], {"10": [1]}),
         (["extend", "V-ex31", "--gen", "1:120"], None),
         (["extend", "W-ex32", "--gen", "120:1"], None),  # d z would gain a linear term
+        (["extend", "W-ex32", "--gen", "4:30:1x"], None),  # names the DSL cannot read
+        (["extend", "W-ex32", "--gen", "4:30:x\u00e9"], None),
+        (["extend", "W-ex32", "--gen", "4:30:bad-name"], None),
     ],
     ids=[
         "negative-degree",
@@ -216,6 +219,9 @@ def test_json_outputs_are_byte_identical_across_runs(capsys):
         "xi-row",
         "gen-degree",
         "gen-exponent",
+        "gen-name-digit-first",
+        "gen-name-non-ascii",
+        "gen-name-dash",
     ],
 )
 def test_bad_arguments_exit_2_with_an_error_line(tmp_path, capsys, argv, xi_doc):

@@ -307,7 +307,7 @@ def _window_residues_independent(m, k, monos):
             continue
         comp = win.components[cid]
         v = [Q(0)] * len(comp.rows_k)
-        v[comp.loc[i]] = Q(1)
+        v[comp.rows_k.index(i)] = Q(1)
         red = comp._reduce_by_image(v)
         residues.append({comp.rows_k[j]: x for j, x in enumerate(red) if x})
     return linalg.sparse_rank(residues) == len(monos)
@@ -502,3 +502,71 @@ def test_window_below_codes_with_the_truncation(V):
     assert gamma.model == V.truncate(42)
     with pytest.raises(ModelError):  # y2 lies outside ΛV^{<=42}
         gamma.class_of(P.generator(V.generator("y2")))
+
+
+# --- class layout: anchors, positions and linear parts ----------------------------
+
+
+def _assert_layout_round_trips(h):
+    """Every class position maps to its representative and back, and the
+    linear parts are the generator coefficients of the representatives."""
+    reps = h.representatives()
+    for i, rep in enumerate(reps):
+        assert h.class_of(rep).coords == {i: 1}
+    expected = {}
+    for i, rep in enumerate(reps):
+        for g in h.model.gens_of_degree(h.degree):
+            c = rep.coefficient(mono((g, 1)))
+            if c:
+                expected.setdefault(i, {})[g.name] = c
+    assert h.linear_parts() == expected
+
+
+@pytest.mark.parametrize(
+    "label, k, cut",
+    [
+        ("V-ex31", 10, None),  # a generator class
+        ("V-ex31", 108, None),  # one block anchor and one inert anchor
+        ("V-ex31", 120, None),  # a block with two classes
+        ("W-ex32", 12, None),
+        ("W-ex32", 118, None),
+        ("W-ex32", 120, None),
+        ("E3", 77, None),  # six blocks with several classes each
+        ("U3", 5, None),
+        ("U3", 69, None),  # 31 switches between inert and block anchors
+        ("W-ex32", 120, 118),  # the Γ window of the paper's Example 3.2
+        ("U3", 69, 43),
+    ],
+)
+def test_class_positions_round_trip_through_the_anchor_table(label, k, cut):
+    from cohaut.corpus import load_builtin
+
+    h = cohomology(load_builtin(label), k)
+    if cut is not None:
+        h = h.below(cut)
+    assert 0 < h.dimension <= 300
+    # each case interleaves inert and block anchors, has a block with more
+    # than one class, or has a generator class
+    win = h._window
+    interleaved = len({cid < 0 for cid in win.owners}) == 2
+    assert interleaved or any(c.dim_h > 1 for c in win.components) or h.linear_parts()
+    _assert_layout_round_trips(h)
+
+
+def test_linear_parts_of_generators_inside_a_block():
+    # b - e/2 and c - e/2 are the two classes of degree 3, both in block 0
+    a, b, c, e = (Generator(name, deg) for name, deg in (("a", 2), ("b", 3), ("c", 3), ("e", 3)))
+    aa = P.monomial(mono((a, 2)))
+    m = SullivanModel([a, b, c, e], {"b": aa, "c": aa, "e": aa.scale(2)})
+    h = cohomology(m, 3)
+    assert h.dimension == 2
+    half = Q(-1, 2)
+    assert h.linear_parts() == {0: {"b": 1, "e": half}, 1: {"c": 1, "e": half}}
+    _assert_layout_round_trips(h)
+
+
+def test_representative_rejects_positions_outside_the_layout(V):
+    h = cohomology(V, 120)
+    for i in (-1, h.dimension):
+        with pytest.raises(IndexError):
+            h.representative(i)

@@ -111,6 +111,16 @@ def test_round_trip_corpus(label):
     assert again.label == m.label
 
 
+def test_serialize_pins_signs_and_fractions():
+    src = (
+        "model signs;\ngen a : 2;\ngen b : 2;\ngen c : 5;\ngen e : 7;\n"
+        "d c = -3/2*a^3 - a^2*b + a*b^2 - 2/5*b^3;\nd e = -a^4 + 7*b^4;\n"
+    )
+    m = parse(src)
+    assert serialize(m) == src
+    assert parse(serialize(m)) == m
+
+
 def test_load_builtin_w(W):
     m = dsl_load_builtin("W-ex32")
     assert m == W
