@@ -46,16 +46,9 @@ def _load_model(spec: str) -> SullivanModel:
 
 
 def _load_valid_model(spec: str) -> SullivanModel:
-    """The model of `_load_model`; raises ModelError naming every failed
-    validation check, so no command computes on a non-minimal model or a
-    non-complex."""
+    """The model of `_load_model`, checked by `SullivanModel.require_valid`."""
     m = _load_model(spec)
-    failed = [c for c in m.validate().checks if not c.ok]
-    if failed:
-        raise ModelError(
-            f"{m.label} fails validation: "
-            + "; ".join(f"{c.name} ({c.detail})" for c in failed)
-        )
+    m.require_valid()
     return m
 
 
@@ -372,6 +365,8 @@ def cmd_extend(args) -> int:
         raise UsageError(f"--gen must be d:k or d:k:name, got {args.gen!r}")
     if degree < 2 or exponent < 2:
         raise UsageError(f"--gen needs degree >= 2 and exponent >= 2, got {args.gen!r}")
+    if name in {g.name for g in m.generators}:
+        raise UsageError(f"generator name {name} already used")
     try:
         extended = extend_tower(m, args.closing, degree, exponent, name=name or None)
     except AlgebraError as exc:  # a generator name the model text cannot hold

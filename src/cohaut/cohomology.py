@@ -342,9 +342,16 @@ class _Window:
         block of the truncation with the same matrices; only the blocks that
         touch a dropped monomial are split again, over their kept members.
         Needs a minimal model (one that `truncate` accepts).
+
+        When no generator degree lies in (cut, k+1], no monomial of degree
+        <= k+1 holds a dropped generator, so the truncation's window equals
+        this one block for block, and this window itself is returned.
         """
         cx = self.cx
-        p = bisect.bisect_right(cx.view.degs, cut)
+        degs = cx.view.degs
+        p = bisect.bisect_right(degs, cut)
+        if p == len(degs) or degs[p] > self.degree + 1:
+            return self
         basis_km1 = cx.basis(self.degree - 1)
         basis_k = cx.basis(self.degree)
 

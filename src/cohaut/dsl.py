@@ -13,7 +13,7 @@ Grammar (whitespace insignificant, comments run from '#' to end of line):
 
 '^' binds tighter than '*', which binds tighter than '+'/'-'.  Identifiers
 are ASCII alphanumerics plus underscore; the model name additionally allows
-'-' and '.'.  Parse and semantic errors carry line:column positions.
+'-'.  Parse and semantic errors carry line:column positions.
 """
 
 from __future__ import annotations

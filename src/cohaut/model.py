@@ -223,6 +223,16 @@ class SullivanModel:
         checks.append(CheckResult("d ∘ d = 0 on generators", not dd_bad, "; ".join(dd_bad)))
         return ValidationReport(self.label, tuple(checks), self.warnings)
 
+    def require_valid(self) -> None:
+        """Raise ModelError naming every failed validation check, so no caller
+        computes on a non-minimal model or a non-complex."""
+        failed = [c for c in self.validate().checks if not c.ok]
+        if failed:
+            raise ModelError(
+                f"{self.label} fails validation: "
+                + "; ".join(f"{c.name} ({c.detail})" for c in failed)
+            )
+
 
 class _CodedModel:
     """Integer-coded view of one model: generator index, degrees, parities and

@@ -207,6 +207,7 @@ def test_json_outputs_are_byte_identical_across_runs(capsys):
         (["extend", "W-ex32", "--gen", "4:30:1x"], None),  # names the DSL cannot read
         (["extend", "W-ex32", "--gen", "4:30:x\u00e9"], None),
         (["extend", "W-ex32", "--gen", "4:30:bad-name"], None),
+        (["extend", "W-ex32", "--gen", "4:30:x1"], None),  # x1 is already a generator
     ],
     ids=[
         "negative-degree",
@@ -222,6 +223,7 @@ def test_json_outputs_are_byte_identical_across_runs(capsys):
         "gen-name-digit-first",
         "gen-name-non-ascii",
         "gen-name-dash",
+        "gen-name-taken",
     ],
 )
 def test_bad_arguments_exit_2_with_an_error_line(tmp_path, capsys, argv, xi_doc):

@@ -504,6 +504,29 @@ def test_window_below_codes_with_the_truncation(V):
         gamma.class_of(P.generator(V.generator("y2")))
 
 
+@pytest.mark.parametrize(
+    "k, cut, same",
+    [
+        (44, 45, True),  # next generator z (119) lies above k+1
+        (44, 118, True),
+        (44, 119, True),  # no generator above the cut
+        (44, 200, True),
+        (44, 44, False),  # y3 (45) = k+1 is dropped
+        (44, 43, False),
+        (43, 42, False),  # y2 (43) = k is dropped
+        (43, 11, False),
+    ],
+)
+def test_window_below_is_the_window_itself_when_no_degree_lies_above_the_cut(V, k, cut, same):
+    # with no generator degree in (cut, k+1], no monomial of degree <= k+1
+    # holds a dropped generator, so the derived window is the window itself
+    window = cohomology(V, k)._window
+    assert (window.below(cut) is window) == same
+    derived = cohomology(V, k).below(cut)
+    assert (derived._window is window) == same
+    _assert_same_window(derived, cohomology(V.truncate(cut), k), V)
+
+
 # --- class layout: anchors, positions and linear parts ----------------------------
 
 

@@ -56,6 +56,14 @@ def test_lexical_error_position():
     assert err.value.line == 3
 
 
+def test_model_name_allows_dash_but_not_dot():
+    assert parse("model a-b;\ngen x : 2;\n").label == "a-b"
+    with pytest.raises(ParseError) as err:
+        parse("model a.b;\ngen x : 2;\n")
+    assert (err.value.line, err.value.column) == (1, 8)
+    assert str(err.value) == "<input>:1:8: unexpected character '.'"
+
+
 def test_vanishing_term_parses_with_warning():
     src = (
         "model M;\n"

@@ -6,6 +6,7 @@ import pytest
 from cohaut.algebra import Generator, Monomial, Polynomial
 from cohaut.cohomology import cohomology
 from cohaut.coherence import GradedLinearMap, try_lift
+from cohaut.dsl import parse
 from cohaut.model import CochainMorphism, ModelError, MorphismError, SullivanModel, identity
 from cohaut.whitehead import (
     WhiteheadSequence,
@@ -90,6 +91,19 @@ def test_corrupted_b_column_is_detected_at_the_right_node(V):
     assert any(c.n == 41 and "fidelity" in c.node for c in report.failures())
 
 
+@pytest.mark.parametrize("b_columns", [(), ((), ())], ids=["dropped", "extra"])
+def test_b_column_count_mismatch_is_detected(V, b_columns):
+    # V^10 = <x1> and b(x1) = 0: only the count of the columns is wrong
+    w = build_wes(V, 50)
+    assert w.nodes[10].b_columns == ((),)
+    corrupted = dataclasses.replace(w.nodes[10], b_columns=b_columns)
+    report = check_exactness(dataclasses.replace(w, nodes={**w.nodes, 10: corrupted}))
+    assert not report.ok
+    [failure] = report.failures()
+    assert failure.n == 10 and "fidelity" in failure.node
+    assert failure.detail == f"{len(b_columns)} stored b-columns != dim V^10 = 1"
+
+
 def test_zeroed_b_column_breaks_im_ker_at_gamma_node(V):
     w = build_wes(V, 50)
     node = w.nodes[41]
@@ -169,3 +183,36 @@ def test_wes_builds_no_complex_for_a_truncation(monkeypatch):
     monkeypatch.setattr(cohomology_module._Complex, "__init__", spy)
     assert check_exactness(build_wes(m)).ok
     assert built == [m]
+
+
+def test_exactness_check_builds_windows_only_where_v_n_is_nonzero(monkeypatch):
+    # every class the check computes is about some v in V^n, so with fresh
+    # caches it builds H^{n+1}(ΛV) windows only at those n; fetching them at
+    # every n rebuilds the evicted windows of the other degrees too
+    import importlib
+
+    from cohaut.corpus import load_builtin
+
+    cohomology_module = importlib.import_module("cohaut.cohomology")
+    m = load_builtin("E3")
+    monkeypatch.setattr(cohomology_module, "_COMPLEXES", cohomology_module._LRU(32))
+    w = build_wes(m)
+    built = []
+    build = cohomology_module._Window.build
+
+    def spy(cls, cx, k):
+        built.append(k)
+        return build(cx, k)
+
+    monkeypatch.setattr(cohomology_module._Window, "build", classmethod(spy))
+    assert check_exactness(w).ok
+    wanted = {n + 1 for n in range(w.n_min, w.n_max + 1) if m.gens_of_degree(n)}
+    assert built and set(built) <= wanted
+
+
+def test_build_wes_refuses_a_model_that_fails_validation():
+    # d(d c) = d(a^2 b) = a^4 != 0
+    m = parse("model bad;\ngen a : 2;\ngen b : 3;\ngen c : 6;\nd b = a^2;\nd c = a^2*b;\n")
+    with pytest.raises(ModelError) as err:
+        build_wes(m)
+    assert str(err.value) == "bad fails validation: d ∘ d = 0 on generators (d(d(c)) = a^4)"
