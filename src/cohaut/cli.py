@@ -9,7 +9,8 @@ human-readable form).  Every command but validate refuses a model that fails
 validation.
 
 Exit codes: 0 success, 1 mathematical failure (failed validation, obstructed
-lift, failed reproduction), 2 usage or parse errors.
+lift, failed reproduction), 2 usage or parse errors (a non-diagonal model
+given to solve or iso among them).
 """
 
 from __future__ import annotations
@@ -182,10 +183,12 @@ def _parse_xi(m: SullivanModel, spec: str) -> GradedLinearMap:
             if not key.startswith("p"):
                 raise UsageError(f"bad --xi entry {item!r} (expected pDEG=value)")
             try:
-                degree = int(key[1:])
-                entries[degree] = Fraction(value)
+                degree, entry = int(key[1:]), Fraction(value)
             except (ValueError, ZeroDivisionError):
                 raise UsageError(f"bad --xi entry {item!r}")
+            if degree in entries:
+                raise UsageError(f"--xi gives degree {degree} more than once")
+            entries[degree] = entry
         for d in sorted({g.degree for g in m.generators}):
             entries.setdefault(d, Q(0))
         try:
@@ -341,7 +344,10 @@ def cmd_iso(args) -> int:
     t0 = time.monotonic()
     a = _load_valid_model(args.model_a)
     b = _load_valid_model(args.model_b)
-    decision = diagsolve.coherent_iso_exists(a, b)
+    try:
+        decision = diagsolve.coherent_iso_exists(a, b)
+    except diagsolve.NotDiagonal as exc:
+        raise UsageError(str(exc))
     results = {
         "isomorphic": decision.isomorphic,
         "reason": decision.reason,
@@ -365,8 +371,11 @@ def cmd_extend(args) -> int:
         raise UsageError(f"--gen must be d:k or d:k:name, got {args.gen!r}")
     if degree < 2 or exponent < 2:
         raise UsageError(f"--gen needs degree >= 2 and exponent >= 2, got {args.gen!r}")
-    if name in {g.name for g in m.generators}:
+    names = {g.name for g in m.generators}
+    if name in names:
         raise UsageError(f"generator name {name} already used")
+    if args.closing not in names:
+        raise UsageError(f"unknown generator {args.closing!r} in {m.label}")
     try:
         extended = extend_tower(m, args.closing, degree, exponent, name=name or None)
     except AlgebraError as exc:  # a generator name the model text cannot hold
@@ -613,7 +622,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, dsl.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, diagsolve.NotDiagonal) as exc:
+    except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

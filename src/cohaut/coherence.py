@@ -210,6 +210,7 @@ def try_lift(xi: GradedLinearMap) -> LiftResult:
             u = solve_coboundary(trunc, n1 + 1, rhs)
             if u is None:
                 cls = class_of(trunc, n1 + 1, rhs)
+                coords = ", ".join(f"{i}: {c}" for i, c in cls.coords.items())
                 return LiftResult(
                     obstruction=Obstruction(
                         degree=n1,
@@ -217,7 +218,7 @@ def try_lift(xi: GradedLinearMap) -> LiftResult:
                         failure_class=cls,
                         message=(
                             f"lifting fails at {v.name} (degree {n1}): the class "
-                            f"H(α)b({v.name}) - b'ξ({v.name}) = {cls.coords} is nonzero "
+                            f"H(α)b({v.name}) - b'ξ({v.name}) = {{{coords}}} is nonzero "
                             f"in H^{n1 + 1}(Λ{target.label}^(<={n1 - 1}))"
                         ),
                     )

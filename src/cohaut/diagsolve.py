@@ -1,11 +1,14 @@
 """Monomial constraint systems for diagonal models.
 
-For a model with at most one generator per degree, a graded linear self-map
-is a tuple of scalars (p_d).  Each monomial M of each differential d(v)
-contributes one multiplicative equation p_v = c * prod p_w^{e_w(M)}; the
-equations are exact (not just necessary) when the monomials of each d(v) are
-linearly independent modulo coboundaries in the truncated complex, which the
-extractor checks and records as the completeness flag.
+For models with at most one generator per degree, a graded linear map A -> B
+is a tuple of scalars (p_d).  Each monomial M shared by d(v) in A and the
+matching d(w) in B contributes one multiplicative equation
+p_v = c * prod p_w^{e_w(M)} with c = c^A_M / c^B_M; a monomial on one side
+only forces a zero.  The equations are exact (not just necessary) when the
+monomials at each degree are linearly independent modulo coboundaries in the
+truncated complex of B, which the extractor checks and records as the
+completeness flag.  The self-map system is the cross system of (X, X), with
+its own notes.
 
 The rational solution set is computed exactly: zero supports are enumerated
 over the source variables and propagated; on the nonzero part, signs form an
@@ -22,7 +25,7 @@ from itertools import combinations
 from typing import Iterator, Mapping
 
 from . import linalg
-from .algebra import Monomial, Q
+from .algebra import Generator, Monomial, Q
 from .cohomology import residues_independent
 from .coherence import GradedLinearMap, LiftResult, try_lift
 from .model import SullivanModel
@@ -41,7 +44,6 @@ class Equation:
     target: int
     coeff: Fraction
     exponents: tuple[tuple[int, int], ...]  # (variable degree, exponent >= 1)
-    origin: str
 
     def __str__(self) -> str:
         rhs = "*".join(
@@ -130,55 +132,69 @@ def _require_diagonal(m: SullivanModel) -> None:
         )
 
 
-def _monomial_exponents(m: Monomial) -> tuple[tuple[int, int], ...]:
-    return tuple((g.degree, e) for g, e in m.factors)
+def _extract(
+    a: SullivanModel, b: SullivanModel
+) -> tuple[list[Equation], list[ZeroForcer], list[Generator]]:
+    """One walk over d(v) in A and the matching d(w) in B (same degree): the
+    equations (coefficient c^A_M / c^B_M on each shared monomial M), the zero
+    forcers (M on one side only), and the generators v of A whose monomials
+    are dependent modulo the coboundaries of ΛB^{≤|v|-1}."""
+    b_by_degree = {g.degree: g for g in b.generators}
+    equations: list[Equation] = []
+    forcers: list[ZeroForcer] = []
+    dependent: list[Generator] = []
+    for ga in a.generators:
+        gb = b_by_degree[ga.degree]
+        a_terms = {
+            Monomial(tuple((b_by_degree[g.degree], e) for g, e in mono.factors)): c
+            for mono, c in a.differential(ga).terms()
+        }
+        b_terms = dict(b.differential(gb).terms())
+        union = sorted(a_terms.keys() | b_terms.keys(), key=Monomial.sort_key)
+        for mono in union:
+            ca, cb = a_terms.get(mono), b_terms.get(mono)
+            exponents = tuple((g.degree, e) for g, e in mono.factors)
+            if ca is not None and cb is not None:
+                equations.append(Equation(ga.degree, ca / cb, exponents))
+            elif ca is not None:
+                origin = f"monomial {mono} only in d({ga.name}) of {a.label}"
+                forcers.append(ZeroForcer("rhs", ga.degree, exponents, origin))
+            else:
+                origin = f"monomial {mono} only in d({gb.name}) of {b.label}"
+                forcers.append(ZeroForcer("lhs", ga.degree, exponents, origin))
+        if union and not residues_independent(
+            b.truncate(ga.degree - 1), ga.degree + 1, union
+        ):
+            dependent.append(ga)
+    return equations, forcers, dependent
+
+
+def _variables(m: SullivanModel) -> tuple[int, ...]:
+    return tuple(sorted({g.degree for g in m.generators}))
 
 
 def extract_constraints(m: SullivanModel) -> MonomialConstraintSystem:
-    """The self-map system of a diagonal model: one equation per monomial of
-    each differential, coefficient ratio 1."""
+    """The self-map system of a diagonal model: the cross system of (m, m),
+    whose coefficient ratios are all 1 and which has no zero forcers."""
     _require_diagonal(m)
-    equations: list[Equation] = []
-    complete = True
-    notes: list[str] = list(m.warnings)
-    for g in m.generators:
-        dg = m.differential(g)
-        if not dg:
-            continue
-        monos = dg.monomials()
-        for mono in monos:
-            equations.append(
-                Equation(
-                    target=g.degree,
-                    coeff=Q(1),
-                    exponents=_monomial_exponents(mono),
-                    origin=f"d({g.name}): monomial {mono}",
-                )
-            )
-        trunc = m.truncate(g.degree - 1)
-        if not residues_independent(trunc, g.degree + 1, monos):
-            complete = False
-            notes.append(
-                f"monomials of d({g.name}) are dependent modulo coboundaries; "
-                "the per-monomial equations may be stronger than coherence, so "
-                "solver output is a candidate subset, verified by lifting"
-            )
-    unconstrained = [
-        v
-        for v in sorted({g.degree for g in m.generators})
-        if all(eq.target != v for eq in equations)
-        and all(v not in dict(eq.exponents) for eq in equations)
+    equations, _, dependent = _extract(m, m)
+    notes = list(m.warnings)
+    notes += [
+        f"monomials of d({g.name}) are dependent modulo coboundaries; "
+        "the per-monomial equations may be stronger than coherence, so "
+        "solver output is a candidate subset, verified by lifting"
+        for g in dependent
     ]
-    for v in unconstrained:
-        notes.append(f"variable p{v} appears in no equation (unconstrained)")
+    used = {eq.target for eq in equations}
+    used |= {d for eq in equations for d, _ in eq.exponents}
+    variables = _variables(m)
+    notes += [
+        f"variable p{v} appears in no equation (unconstrained)"
+        for v in variables
+        if v not in used
+    ]
     return MonomialConstraintSystem(
-        source=m,
-        target=m,
-        variables=tuple(sorted({g.degree for g in m.generators})),
-        equations=tuple(equations),
-        forcers=(),
-        complete=complete,
-        notes=tuple(notes),
+        m, m, variables, tuple(equations), (), not dependent, tuple(notes)
     )
 
 
@@ -194,70 +210,14 @@ def extract_cross_constraints(
         raise ValueError(
             f"{a.label} and {b.label} have different generator degree multisets"
         )
-    b_by_degree = {g.degree: g for g in b.generators}
-
-    def translate(mono: Monomial) -> Monomial:
-        return Monomial(tuple((b_by_degree[g.degree], e) for g, e in mono.factors))
-
-    equations: list[Equation] = []
-    forcers: list[ZeroForcer] = []
-    complete = True
-    notes: list[str] = []
-    for ga in a.generators:
-        gb = b_by_degree[ga.degree]
-        da = a.differential(ga)
-        db = b.differential(gb)
-        a_terms = {translate(mono): c for mono, c in da.terms()}
-        b_terms = {mono: c for mono, c in db.terms()}
-        for mono in sorted(
-            set(a_terms) | set(b_terms), key=lambda mm: mm.sort_key()
-        ):
-            ca = a_terms.get(mono)
-            cb = b_terms.get(mono)
-            if ca is not None and cb is not None:
-                equations.append(
-                    Equation(
-                        target=ga.degree,
-                        coeff=ca / cb,
-                        exponents=_monomial_exponents(mono),
-                        origin=f"d({ga.name}) ~ d({gb.name}): monomial {mono}",
-                    )
-                )
-            elif ca is not None:
-                forcers.append(
-                    ZeroForcer(
-                        kind="rhs",
-                        target=ga.degree,
-                        exponents=_monomial_exponents(mono),
-                        origin=f"monomial {mono} only in d({ga.name}) of {a.label}",
-                    )
-                )
-            else:
-                forcers.append(
-                    ZeroForcer(
-                        kind="lhs",
-                        target=ga.degree,
-                        exponents=_monomial_exponents(mono),
-                        origin=f"monomial {mono} only in d({gb.name}) of {b.label}",
-                    )
-                )
-        union = sorted(set(a_terms) | set(b_terms), key=lambda mm: mm.sort_key())
-        if union:
-            trunc = b.truncate(ga.degree - 1)
-            if not residues_independent(trunc, ga.degree + 1, union):
-                complete = False
-                notes.append(
-                    f"monomials at degree {ga.degree} are dependent modulo "
-                    "coboundaries; system is necessary conditions only"
-                )
+    equations, forcers, dependent = _extract(a, b)
+    notes = tuple(
+        f"monomials at degree {g.degree} are dependent modulo "
+        "coboundaries; system is necessary conditions only"
+        for g in dependent
+    )
     return MonomialConstraintSystem(
-        source=a,
-        target=b,
-        variables=tuple(sorted({g.degree for g in a.generators})),
-        equations=tuple(equations),
-        forcers=tuple(forcers),
-        complete=complete,
-        notes=tuple(notes),
+        a, b, _variables(a), tuple(equations), tuple(forcers), not dependent, notes
     )
 
 

@@ -121,6 +121,21 @@ def test_coherent_obstruction_exit_1(capsys):
     assert ob["degree"] == 119 and ob["generator"] == "z"
 
 
+@pytest.mark.parametrize(
+    "xi, coords",
+    [
+        ("p10=2,p12=1,p41=1,p43=1,p45=1,p119=1", "{0: 7}"),
+        ("p10=1,p12=1,p41=1/2,p43=1,p45=1,p119=1", "{0: 1/2}"),
+    ],
+)
+def test_obstruction_message_prints_coordinates_as_rationals(capsys, xi, coords):
+    code, doc, _ = run_json(capsys, "coherent", "V-ex31", "--xi", xi)
+    assert code == 1
+    message = doc["results"]["obstruction"]["message"]
+    assert f"H(α)b(y1) - b'ξ(y1) = {coords} is nonzero" in message
+    assert "Fraction(" not in message
+
+
 def test_coherent_rejects_bad_xi(capsys):
     code, out, err = run(capsys, "coherent", "V-ex31", "--xi", "garbage")
     assert code == 2
@@ -208,6 +223,8 @@ def test_json_outputs_are_byte_identical_across_runs(capsys):
         (["extend", "W-ex32", "--gen", "4:30:x\u00e9"], None),
         (["extend", "W-ex32", "--gen", "4:30:bad-name"], None),
         (["extend", "W-ex32", "--gen", "4:30:x1"], None),  # x1 is already a generator
+        (["extend", "W-ex32", "--gen", "4:30", "--closing", "nope"], None),
+        (["coherent", "V-ex31", "--xi", "p10=1,p10=2,p12=1,p41=1,p43=1,p45=1,p119=1"], None),
     ],
     ids=[
         "negative-degree",
@@ -224,6 +241,8 @@ def test_json_outputs_are_byte_identical_across_runs(capsys):
         "gen-name-non-ascii",
         "gen-name-dash",
         "gen-name-taken",
+        "closing-unknown",
+        "xi-repeated-degree",
     ],
 )
 def test_bad_arguments_exit_2_with_an_error_line(tmp_path, capsys, argv, xi_doc):
@@ -232,6 +251,15 @@ def test_bad_arguments_exit_2_with_an_error_line(tmp_path, capsys, argv, xi_doc)
     code, out, err = run(capsys, *(str(path) if a == "XI_FILE" else a for a in argv))
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_non_diagonal_model_is_a_usage_error_for_solve_and_iso(tmp_path, capsys):
+    path = tmp_path / "nd.mcca"
+    path.write_text("model nd;\ngen a : 2;\ngen b : 2;\ngen c : 5;\nd c = a^3 + a*b^2;\n")
+    for argv in (["solve", str(path)], ["iso", str(path), str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err == "error: nd has more than one generator in degree(s) [2]\n"
 
 
 # d(d c) = d(a^2 b) = a^4 != 0

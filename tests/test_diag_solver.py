@@ -5,6 +5,7 @@ import pytest
 
 from cohaut.algebra import Generator, Monomial, Polynomial
 from cohaut.coherence import try_lift
+from cohaut.corpus import BUILTIN_LABELS, load_builtin
 from cohaut.diagsolve import (
     Equation,
     MonomialConstraintSystem,
@@ -69,6 +70,34 @@ def test_extract_rejects_non_diagonal():
         extract_constraints(m)
 
 
+def incomplete_model():
+    # d(b) = a^2, d(v) = a^3: a^3 = d(a b) is a coboundary below degree 5
+    a, b, v = Generator("a", 2), Generator("b", 3), Generator("v", 5)
+    return SullivanModel(
+        [a, b, v],
+        {"b": P.monomial(mono((a, 2))), "v": P.monomial(mono((a, 3)))},
+        label="incomplete",
+    )
+
+
+@pytest.mark.parametrize("label", BUILTIN_LABELS + ("incomplete",))
+def test_self_system_is_the_cross_system_of_the_model_with_itself(label):
+    m = incomplete_model() if label == "incomplete" else load_builtin(label)
+    own, cross = extract_constraints(m), extract_cross_constraints(m, m)
+    assert own.equations == cross.equations
+    assert own.complete == cross.complete
+    assert own.forcers == cross.forcers == ()
+
+
+def test_cross_system_of_the_incomplete_model_notes_the_dependent_degree():
+    system = extract_cross_constraints(incomplete_model(), incomplete_model())
+    assert not system.complete
+    assert system.notes == (
+        "monomials at degree 5 are dependent modulo coboundaries; "
+        "system is necessary conditions only",
+    )
+
+
 # --- solving -------------------------------------------------------------------
 
 
@@ -126,8 +155,8 @@ def test_square_equality_system_is_an_infinite_family():
         target=dummy,
         variables=(2, 3, 7),
         equations=(
-            Equation(7, Q(1), ((2, 2),), "synthetic"),
-            Equation(7, Q(1), ((3, 2),), "synthetic"),
+            Equation(7, Q(1), ((2, 2),)),
+            Equation(7, Q(1), ((3, 2),)),
         ),
         forcers=(),
         complete=True,
