@@ -11,6 +11,14 @@ are numbered by ascending anchor (an inert monomial, or a block's smallest
 degree-k member followed by the block's echelon classes); each window finds
 them in one sorted anchor table with `bisect`.
 
+Where only a dimension is wanted, the complex answers from per-degree ranks:
+`_Complex.rank(k)` is the rank of d: (ΛV)^k -> (ΛV)^{k+1}, so that
+dim H^k = dim (ΛV)^k - rank(k-1) - rank(k).  It splits the columns of that
+one map into blocks with the same union-find as the window split (`_blocks`)
+and sums the block ranks; a block with one column or one hit row has rank 1
+without elimination, since stored columns are nonzero.  Each rank is computed
+once and kept, as an int, for the life of the complex.
+
 A truncation ΛV^{<=c} is a sub-complex whose bases are order-preserving
 subsequences of ΛV's (generators are sorted by degree, so its monomials are
 those whose last generator lies in a prefix).  Its window at degree k is
@@ -94,6 +102,7 @@ class _Complex:
         self._indexes = _LRU(6)
         self._columns = _LRU(6)
         self._windows = _LRU(4)
+        self._ranks: dict[int, int] = {}
 
     def basis(self, degree: int) -> tuple[Coded, ...]:
         if degree < 0:
@@ -130,6 +139,13 @@ class _Complex:
             if img:
                 cols[i] = sorted((idx_up[m], c) for m, c in img.items())
         return cols
+
+    def rank(self, degree: int) -> int:
+        """Rank of d: basis(degree) -> basis(degree + 1), kept per degree."""
+        r = self._ranks.get(degree)
+        if r is None:
+            r = self._ranks[degree] = _coboundary_rank(self.columns(degree))
+        return r
 
     def window(self, degree: int) -> "_Window":
         return self._windows.get_or_create(degree, lambda: _Window.build(self, degree))
@@ -246,11 +262,11 @@ class _Component:
         return coords
 
 
-def _components(cols_km1, cols_k) -> list[_Component]:
-    """The connected blocks of a window, from its coboundary columns
-    degree k-1 -> k and k -> k+1: union-find over the active monomials, in
-    ascending order of the smallest degree-k member.  Blocks living entirely
-    at k-1/k+1 contribute nothing and are dropped."""
+def _blocks(*maps) -> list[list[tuple[int, int]]]:
+    """Connected blocks of consecutive coboundary maps: `maps[i]` holds the
+    sparse columns from level i to level i+1, and a node is a pair (level,
+    index).  Union-find over every stored column and the rows it hits; nodes
+    that no column touches appear in no block."""
     parent: dict[tuple[int, int], tuple[int, int]] = {}
 
     def find(x):
@@ -261,28 +277,29 @@ def _components(cols_km1, cols_k) -> list[_Component]:
             parent[x], x = root, parent[x]
         return root
 
-    def union(x, y):
-        parent.setdefault(x, x)
-        parent.setdefault(y, y)
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for c, col in cols_km1.items():
-        a = (0, c)  # level 0 = degree k-1
-        parent.setdefault(a, a)
-        for r, _ in col:
-            union(a, (1, r))
-    for c, col in cols_k.items():
-        a = (1, c)
-        parent.setdefault(a, a)
-        for r, _ in col:
-            union(a, (2, r))
+    for level, cols in enumerate(maps):
+        for c, col in cols.items():
+            a = (level, c)
+            parent.setdefault(a, a)
+            for r, _ in col:
+                b = (level + 1, r)
+                parent.setdefault(b, b)
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[rb] = ra
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for node in parent:
         groups.setdefault(find(node), []).append(node)
+    return list(groups.values())
+
+
+def _components(cols_km1, cols_k) -> list[_Component]:
+    """The connected blocks of a window, from its coboundary columns
+    degree k-1 -> k and k -> k+1 (level 0 = degree k-1), in ascending order
+    of the smallest degree-k member.  Blocks living entirely at k-1/k+1
+    contribute nothing and are dropped."""
     comps = []
-    for members in groups.values():
+    for members in _blocks(cols_km1, cols_k):
         mk = [m for d, m in members if d == 1]
         if mk:
             comps.append(
@@ -290,6 +307,26 @@ def _components(cols_km1, cols_k) -> list[_Component]:
             )
     comps.sort(key=lambda comp: comp.rows_k[0])
     return comps
+
+
+def _coboundary_rank(cols: dict[int, list[tuple[int, Fraction]]]) -> int:
+    """Rank of the map with these sparse columns, summed over its blocks.  A
+    block with one column or one hit row has rank 1, since a stored column
+    is nonzero; the others are eliminated densely (one row per column)."""
+    total = 0
+    for members in _blocks(cols):
+        src = [c for level, c in members if level == 0]
+        hit = [r for level, r in members if level == 1]
+        if len(src) == 1 or len(hit) == 1:
+            total += 1
+            continue
+        local = dict(zip(hit, range(len(hit))))
+        mat = [[_Q0] * len(hit) for _ in src]
+        for row, c in zip(mat, src):
+            for r, val in cols[c]:
+                row[local[r]] = val
+        total += linalg.rank(mat)
+    return total
 
 
 class _Window:
@@ -569,7 +606,7 @@ def coboundary_matrix(m: SullivanModel, k: int) -> list[list[Fraction]]:
 
 def image_rank(m: SullivanModel, k: int) -> int:
     """rank of d: degree k-1 -> k (dimension of the coboundary space)."""
-    return complex_for(m).window(k).image_rank()
+    return complex_for(m).rank(k - 1)
 
 
 def _block(view: _CodedModel, monos: list[Coded]) -> dict[Coded, dict[Coded, Fraction]]:

@@ -565,7 +565,10 @@ class IsoDecision:
 
 def coherent_iso_exists(a: SullivanModel, b: SullivanModel) -> IsoDecision:
     """Decide whether the Whitehead sequences of two diagonal models are
-    coherently isomorphic; a TRUE answer carries a lift-verified witness."""
+    coherently isomorphic; a TRUE answer carries a lift-verified witness.
+    A non-diagonal model raises NotDiagonal whatever the other one is."""
+    _require_diagonal(a)
+    _require_diagonal(b)
     if sorted(a.degrees()) != sorted(b.degrees()):
         return IsoDecision(
             False, None, "generator degree multisets differ", None

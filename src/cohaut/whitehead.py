@@ -27,6 +27,15 @@ order-preserving subsequence of ΛV's, so the blocks of the window that avoid
 the dropped generators are blocks of the truncation, and the few that do not
 are split again over their kept monomials.
 
+Away from the generator degrees no window is built at all.  Where
+V^n = V^{n+1} = 0, exactness of 0 = V^n -> Γ^{n+1} -> H^{n+1}(ΛV) -> V^{n+1} = 0
+makes i an isomorphism, b and j vanish, and the node needs one number:
+dim Γ^{n+1} = dim H^{n+1}(ΛV) = dim (ΛV)^{n+1} - rank d_n - rank d_{n+1},
+read from the per-degree coboundary ranks of the complex (`_Complex.rank`),
+each computed once per pass.  The other nodes build H^{n+1}(ΛV), its Γ^{n+1}
+and, where V^n != 0, H^n(ΛV) for the linear parts of j; at an n with V^n = 0,
+j is zero and H^n(ΛV) is not needed.
+
 `check_exactness` reads windows only at the n with V^n != 0, and there only
 H^{n+1}(ΛV) and the Γ^{n+1} derived from it.  Every class it computes is a
 [d(v)] or [d(ℓ)] with v, ℓ in V^n (b-fidelity, b ∘ j = 0, i ∘ b = 0); every
@@ -42,7 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from . import linalg
 from .algebra import Polynomial, Q
-from .cohomology import CohomologyBasis, cohomology
+from .cohomology import CohomologyBasis, cohomology, complex_for
 from .model import CochainMorphism, SullivanModel
 
 
@@ -87,6 +96,20 @@ class WhiteheadSequence:
 
 def _node(m: SullivanModel, n: int) -> WESNode:
     gens = m.gens_of_degree(n)
+    if not gens and not m.gens_of_degree(n + 1):
+        # i is an isomorphism: dimensions from coboundary ranks, see the module docstring
+        cx = complex_for(m)
+        dim = len(cx.basis(n + 1)) - cx.rank(n) - cx.rank(n + 1)
+        return WESNode(
+            n=n,
+            gens=(),
+            gamma_dim=dim,
+            h_dim=dim,
+            b_columns=(),
+            ker_i_dim=0,
+            rank_j=0,
+            j_parts=(),
+        )
     h = cohomology(m, n + 1)
     gamma = h.below(n - 1)
     b_cols = []
@@ -95,7 +118,7 @@ def _node(m: SullivanModel, n: int) -> WESNode:
         b_cols.append(tuple(sorted(cls.coords.items())))
     # dim ker i = dim B^{n+1}(ΛV) - dim B^{n+1}(ΛV^{<=n-1}), see the module docstring
     ker_i = h.image_rank() - gamma.image_rank()
-    parts = cohomology(m, n).linear_parts()
+    parts = cohomology(m, n).linear_parts() if gens else {}
     j_parts = tuple(
         (pos, tuple(sorted(d.items()))) for pos, d in sorted(parts.items())
     )
@@ -293,7 +316,7 @@ def naturality_check(f: CochainMorphism, n: int) -> NaturalityReport:
     """Verify b' ∘ ξ = H^{n+1}(f|) ∘ b on V^n (the square of the naturality
     diagram at degree n), where ξ is the map induced on indecomposables."""
     src, tgt = f.source, f.target
-    gamma_tgt = cohomology(tgt.truncate(n - 1), n + 1)
+    gamma_tgt = cohomology(tgt, n + 1).below(n - 1)  # the Γ path of `build_wes`
     checks = []
     for g in src.gens_of_degree(n):
         dv = src.d(Polynomial.generator(g))

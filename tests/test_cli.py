@@ -262,6 +262,16 @@ def test_non_diagonal_model_is_a_usage_error_for_solve_and_iso(tmp_path, capsys)
         assert err == "error: nd has more than one generator in degree(s) [2]\n"
 
 
+def test_iso_refuses_a_non_diagonal_model_whatever_the_other_model(tmp_path, capsys):
+    # the degree multisets of nd and V-ex31 differ; the refusal must not depend on that
+    path = tmp_path / "nd.mcca"
+    path.write_text("model nd;\ngen a : 2;\ngen b : 2;\ngen c : 3;\nd c = a*b;\n")
+    for argv in (["iso", str(path), "V-ex31"], ["iso", str(path), str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err == "error: nd has more than one generator in degree(s) [2]\n"
+
+
 # d(d c) = d(a^2 b) = a^4 != 0
 NOT_A_COMPLEX = "model bad;\ngen a : 2;\ngen b : 3;\ngen c : 6;\nd b = a^2;\nd c = a^2*b;\n"
 

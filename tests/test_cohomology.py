@@ -127,6 +127,35 @@ def test_dimension_identity_on_truncations(V):
         assert image_rank(t, k) == linalg.rank(dk1)
 
 
+def _rank_model(label):
+    if label == "zero-d":
+        return SullivanModel([Generator("a", 2), Generator("b", 3), Generator("c", 4)], {})
+    from cohaut.corpus import load_builtin
+
+    return load_builtin(label)
+
+
+RANK_MODELS = ["V-ex31", "W-ex32", "E3", "zero-d"]
+
+
+@pytest.mark.parametrize("label", RANK_MODELS)
+def test_coboundary_rank_matches_dense_oracle(label):
+    m = _rank_model(label)
+    dense = [linalg.rank(coboundary_matrix(m, k)) for k in range(122)]
+    cx = cohomology_module._Complex(m)
+    assert [cx.rank(k) for k in range(122)] == dense
+    assert cx.rank(-1) == 0
+    assert any(dense) == (label != "zero-d")
+
+
+@pytest.mark.parametrize("label", RANK_MODELS)
+def test_dimension_from_ranks_equals_window_dimension(label):
+    cx = cohomology_module._Complex(_rank_model(label))
+    for k in range(122):
+        dim = len(cx.basis(k)) - cx.rank(k - 1) - cx.rank(k)
+        assert dim == cohomology_module._Window.build(cx, k).dimension, k
+
+
 def test_representatives_are_cocycles_and_independent(W):
     h = cohomology(W.truncate(118), 120)
     reps = h.representatives()

@@ -210,6 +210,35 @@ def test_exactness_check_builds_windows_only_where_v_n_is_nonzero(monkeypatch):
     assert built and set(built) <= wanted
 
 
+def test_build_wes_builds_windows_only_next_to_generator_degrees(monkeypatch):
+    # where V^n = V^{n+1} = 0, i is an isomorphism and the node reads its
+    # dimensions from coboundary ranks; only the other nodes build windows,
+    # H^{n+1}(ΛV) and (where V^n != 0) H^n(ΛV)
+    import importlib
+
+    from cohaut.corpus import load_builtin
+
+    cohomology_module = importlib.import_module("cohaut.cohomology")
+    m = load_builtin("E3")
+    monkeypatch.setattr(cohomology_module, "_COMPLEXES", cohomology_module._LRU(32))
+    built = []
+    build = cohomology_module._Window.build
+
+    def spy(cls, cx, k):
+        built.append(k)
+        return build(cx, k)
+
+    monkeypatch.setattr(cohomology_module._Window, "build", classmethod(spy))
+    w = build_wes(m)
+    near = [
+        n
+        for n in range(w.n_min, w.n_max + 1)
+        if m.gens_of_degree(n) or m.gens_of_degree(n + 1)
+    ]
+    assert built and set(built) <= {k for n in near for k in (n, n + 1)}
+    assert len(near) < (w.n_max - w.n_min + 1) // 2
+
+
 def test_build_wes_refuses_a_model_that_fails_validation():
     # d(d c) = d(a^2 b) = a^4 != 0
     m = parse("model bad;\ngen a : 2;\ngen b : 3;\ngen c : 6;\nd b = a^2;\nd c = a^2*b;\n")
