@@ -395,46 +395,49 @@ def _mul_poly_coded(
     return acc
 
 
-_REACH: dict[tuple[int, ...], tuple[bytes, ...]] = {}
+_SERIES: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
 
-def _reach(degs: tuple[int, ...], dmax: int) -> tuple[bytes, ...]:
-    """reach[i][m] == 1 iff degree m is a sum over generators i.. (odd <= 1).
+def _series(degs: tuple[int, ...], dmax: int) -> tuple[tuple[int, ...], ...]:
+    """series[i][m] = number of monomials of degree m in generators i.. .
 
-    One table per degree tuple, at least up to degree 128, rebuilt larger
-    when a higher degree is asked for.
+    Row i holds the coefficients of the Poincaré series of the free algebra on
+    generators i.., the product of 1/(1 - t^|x|) over even x and (1 + t^|y|)
+    over odd y.  One table per degree tuple, at least up to degree 128,
+    rebuilt larger when a higher degree is asked for.
     """
-    table = _REACH.get(degs)
+    table = _SERIES.get(degs)
     if table is not None and len(table[0]) > dmax:
         return table
     dmax = max(dmax, 128)
-    n = len(degs)
-    reach = [bytearray(dmax + 1) for _ in range(n + 1)]
-    reach[n][0] = 1
-    for i in range(n - 1, -1, -1):
-        d = degs[i]
-        prev = reach[i + 1]
-        cur = reach[i]
+    cur = [0] * (dmax + 1)
+    cur[0] = 1
+    rows = [tuple(cur)]
+    for d in reversed(degs):
+        prev = rows[-1]
         if d % 2:
-            for m in range(dmax + 1):
-                cur[m] = prev[m] or (m >= d and prev[m - d])
+            for m in range(d, dmax + 1):
+                cur[m] += prev[m - d]
         else:
-            for m in range(dmax + 1):
-                v = prev[m]
-                k = m - d
-                while not v and k >= 0:
-                    v = prev[k]
-                    k -= d
-                cur[m] = v
-    if len(_REACH) >= 64:  # bound the cache; clear() is atomic for threads
-        _REACH.clear()
-    table = _REACH[degs] = tuple(bytes(r) for r in reach)
+            for m in range(d, dmax + 1):
+                cur[m] += cur[m - d]
+        rows.append(tuple(cur))
+    if len(_SERIES) >= 64:  # bound the cache; clear() is atomic for threads
+        _SERIES.clear()
+    table = _SERIES[degs] = tuple(reversed(rows))
     return table
+
+
+def poincare_series(degs: tuple[int, ...], dmax: int) -> tuple[int, ...]:
+    """Basis sizes of the free algebra on generators of these degrees, in
+    degrees 0..dmax at least: the coefficients of its Poincaré series.  The
+    same counts prune the basis enumeration, so a count costs no enumeration."""
+    return _series(degs, dmax)[0]
 
 
 def _enumerate(degs: tuple[int, ...], degree: int) -> tuple[Coded, ...]:
     """Coded monomials of degree `degree >= 0` in basis order (see iter_basis)."""
-    reach = _reach(degs, degree)
+    reach = _series(degs, degree)  # nonzero iff the remaining degree is reachable
     n = len(degs)
     out: list[Coded] = []
     stack: list[int] = []

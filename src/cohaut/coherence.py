@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .algebra import Generator, Polynomial, Q, _enumerate
+from .algebra import Generator, Polynomial, Q, poincare_series
 from .cohomology import CohomologyClass, class_of, solve_coboundary
 from .model import CochainMorphism, SullivanModel, _extend
 
@@ -301,6 +301,6 @@ def gap_report(m: SullivanModel) -> GapReport:
     rows = []
     for d in sorted({g.degree for g in m.generators}):
         below = tuple(g.degree for g in m.generators if g.degree < d)
-        gap = len(_enumerate(below, d))
+        gap = poincare_series(below, d)[d]
         rows.append(GapRow(degree=d, gap_dim=gap, unique=gap == 0))
     return GapReport(m.label, tuple(rows))

@@ -19,6 +19,19 @@ and sums the block ranks; a block with one column or one hit row has rank 1
 without elimination, since stored columns are nonzero.  Each rank is computed
 once and kept, as an int, for the life of the complex.
 
+A generator is free when it is closed and appears in no differential.  With F
+the span of the free generators and V' the rest, (ΛV, d) = (ΛF, 0) ⊗ (ΛV', d')
+as complexes: d(f·c) = (-1)^{|f|} f·d'(c) for a monomial f of ΛF and c in ΛV',
+because d(f) = 0 and d(V') lies in ΛV'.  Ordering (ΛV)^k by f, the matrix of
+d_k is block-diagonal with one block ±d'_{k-j} per degree-j monomial f, and a
+sign on a block does not change its rank, so
+rank d_k = Σ_j dim(ΛF)^j · rank d'_{k-j} (the Künneth formula).  A complex with
+free generators takes its ranks that way from the complex of the core model
+ΛV' (`_Complex.core`, from `complex_for`, so equal cores share their ranks),
+and dim(ΛF)^j from the Poincaré series: the rank path of such a model
+enumerates no basis of ΛV and builds no column.  Windows are built on ΛV
+itself as before.
+
 A truncation ΛV^{<=c} is a sub-complex whose bases are order-preserving
 subsequences of ΛV's (generators are sorted by degree, so its monomials are
 those whose last generator lies in a prefix).  Its window at degree k is
@@ -58,7 +71,16 @@ from fractions import Fraction
 from typing import Callable
 
 from . import linalg
-from .algebra import Coded, Monomial, Polynomial, Q, _div_coded, _enumerate, _mul_coded
+from .algebra import (
+    Coded,
+    Monomial,
+    Polynomial,
+    Q,
+    _div_coded,
+    _enumerate,
+    _mul_coded,
+    poincare_series,
+)
 from .model import SullivanModel, _CodedModel
 
 _Q0 = Q(0)
@@ -103,11 +125,20 @@ class _Complex:
         self._columns = _LRU(6)
         self._windows = _LRU(4)
         self._ranks: dict[int, int] = {}
+        # free generators: closed, and a factor of no term of any differential
+        diff = self.view.diff
+        used = {t[p] for dv in diff.values() for t, _ in dv for p in range(0, len(t), 2)}
+        self._free = [i for i in range(len(self.view.degs)) if i not in diff and i not in used]
+        self._core: _Complex | None = None
 
     def basis(self, degree: int) -> tuple[Coded, ...]:
         if degree < 0:
             return ()
         return self._bases.get_or_create(degree, lambda: _enumerate(self.view.degs, degree))
+
+    def basis_size(self, degree: int) -> int:
+        """len(basis(degree)), counted from the Poincaré series."""
+        return poincare_series(self.view.degs, degree)[degree] if degree >= 0 else 0
 
     def index(self, degree: int) -> dict[Coded, int]:
         def build():
@@ -140,11 +171,32 @@ class _Complex:
                 cols[i] = sorted((idx_up[m], c) for m, c in img.items())
         return cols
 
+    @property
+    def core(self) -> "_Complex | None":
+        """The complex of ΛV', the model without its free generators, or None
+        when it has none; built on first use."""
+        if not self._free:
+            return None
+        if self._core is None:
+            model = self.model
+            gens = [g for i, g in enumerate(model.generators) if i not in self._free]
+            diff = {g.name: model.differential(g) for g in gens}
+            self._core = complex_for(SullivanModel(gens, diff, label=f"{model.label} core"))
+        return self._core
+
     def rank(self, degree: int) -> int:
-        """Rank of d: basis(degree) -> basis(degree + 1), kept per degree."""
+        """Rank of d: basis(degree) -> basis(degree + 1), kept per degree.
+        With free generators, by the Künneth formula from the core's ranks."""
         r = self._ranks.get(degree)
         if r is None:
-            r = self._ranks[degree] = _coboundary_rank(self.columns(degree))
+            core = self.core
+            if core is None:
+                r = _coboundary_rank(self.columns(degree))
+            else:
+                free = tuple(self.view.degs[i] for i in self._free)
+                sizes = poincare_series(free, degree)
+                r = sum(sizes[j] * core.rank(degree - j) for j in range(degree + 1) if sizes[j])
+            self._ranks[degree] = r
         return r
 
     def window(self, degree: int) -> "_Window":

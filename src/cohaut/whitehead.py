@@ -32,9 +32,11 @@ V^n = V^{n+1} = 0, exactness of 0 = V^n -> Γ^{n+1} -> H^{n+1}(ΛV) -> V^{n+1} =
 makes i an isomorphism, b and j vanish, and the node needs one number:
 dim Γ^{n+1} = dim H^{n+1}(ΛV) = dim (ΛV)^{n+1} - rank d_n - rank d_{n+1},
 read from the per-degree coboundary ranks of the complex (`_Complex.rank`),
-each computed once per pass.  The other nodes build H^{n+1}(ΛV), its Γ^{n+1}
-and, where V^n != 0, H^n(ΛV) for the linear parts of j; at an n with V^n = 0,
-j is zero and H^n(ΛV) is not needed.
+each computed once per pass, and from the Poincaré-series count of
+(ΛV)^{n+1} (`_Complex.basis_size`), so such a node enumerates no basis of ΛV
+itself.  The other nodes build H^{n+1}(ΛV), its Γ^{n+1} and, where V^n != 0,
+H^n(ΛV) for the linear parts of j; at an n with V^n = 0, j is zero and
+H^n(ΛV) is not needed.
 
 `check_exactness` reads windows only at the n with V^n != 0, and there only
 H^{n+1}(ΛV) and the Γ^{n+1} derived from it.  Every class it computes is a
@@ -99,7 +101,7 @@ def _node(m: SullivanModel, n: int) -> WESNode:
     if not gens and not m.gens_of_degree(n + 1):
         # i is an isomorphism: dimensions from coboundary ranks, see the module docstring
         cx = complex_for(m)
-        dim = len(cx.basis(n + 1)) - cx.rank(n) - cx.rank(n + 1)
+        dim = cx.basis_size(n + 1) - cx.rank(n) - cx.rank(n + 1)
         return WESNode(
             n=n,
             gens=(),

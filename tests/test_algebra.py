@@ -15,6 +15,7 @@ from cohaut.algebra import (
     from_coordinates,
     iter_basis,
     multiply,
+    poincare_series,
 )
 
 x1 = Generator("x1", 10)
@@ -204,6 +205,14 @@ def test_dimension_formula_small_models(label):
     oracle = _series_coefficients(m.generators, 121)
     for d in range(122):
         assert len(m.basis(d)) == oracle[d], f"{label} degree {d}"
+
+
+def test_poincare_series_matches_the_oracle_past_its_first_table():
+    # the first table reaches degree 128; asking for more rebuilds it
+    degs = tuple(g.degree for g in GENS)
+    assert poincare_series(degs, 60)[:61] == tuple(_series_coefficients(GENS, 60))
+    assert poincare_series(degs, 300)[:301] == tuple(_series_coefficients(GENS, 300))
+    assert poincare_series((), 10)[:3] == (1, 0, 0)
 
 
 def test_iter_basis_agrees_with_basis():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohaut import linalg
-from cohaut.algebra import Generator, Monomial, Polynomial
+from cohaut.algebra import Generator, Monomial, Polynomial, poincare_series
 from cohaut.cohomology import (
     NotACocycle,
     class_of,
@@ -20,6 +20,7 @@ from cohaut.cohomology import (
     residues_independent,
     solve_coboundary,
 )
+from cohaut.corpus import BUILTIN_LABELS, load_builtin
 from cohaut.model import CochainMorphism, ModelError, SullivanModel, identity
 
 P = Polynomial
@@ -127,15 +128,23 @@ def test_dimension_identity_on_truncations(V):
         assert image_rank(t, k) == linalg.rank(dk1)
 
 
+def _even_free_model():
+    # core x, w, y with d y = x*w; f (odd), a and b (even) are free, and
+    # (ΛF)^48 is spanned by a^3 and b^2, so the Künneth sum has weights > 1
+    x, w, y = Generator("x", 4), Generator("w", 6), Generator("y", 9)
+    free = [Generator("f", 5), Generator("a", 16), Generator("b", 24)]
+    return SullivanModel([x, w, y, *free], {"y": P.monomial(mono((x, 1), (w, 1)))})
+
+
 def _rank_model(label):
     if label == "zero-d":
         return SullivanModel([Generator("a", 2), Generator("b", 3), Generator("c", 4)], {})
-    from cohaut.corpus import load_builtin
-
+    if label == "even-free":
+        return _even_free_model()
     return load_builtin(label)
 
 
-RANK_MODELS = ["V-ex31", "W-ex32", "E3", "zero-d"]
+RANK_MODELS = ["V-ex31", "W-ex32", "E3", "zero-d", "even-free"]
 
 
 @pytest.mark.parametrize("label", RANK_MODELS)
@@ -148,11 +157,44 @@ def test_coboundary_rank_matches_dense_oracle(label):
     assert any(dense) == (label != "zero-d")
 
 
-@pytest.mark.parametrize("label", RANK_MODELS)
+def test_the_hand_model_splits_with_free_weights_above_one():
+    cx = cohomology_module._Complex(_even_free_model())
+    assert [g.name for g in cx.core.model.generators] == ["x", "w", "y"]
+    assert poincare_series((5, 16, 24), 48)[48] == 2
+
+
+@pytest.mark.parametrize("label", ["U1", "U2", "U3", "U4"])
+def test_kunneth_ranks_match_the_block_ranks_of_the_whole_model(label):
+    # the U tower has free generators, so its ranks come from the core's; the
+    # block ranks of ΛV's own columns are checked against dense matrices above
+    cx = cohomology_module._Complex(load_builtin(label))
+    assert cx.core is not None
+    for k in range(122):
+        assert cx.rank(k) == cohomology_module._coboundary_rank(cx.columns(k)), k
+
+
+def test_split_ranks_enumerate_no_basis_and_share_the_core(monkeypatch):
+    monkeypatch.setattr(cohomology_module, "_COMPLEXES", cohomology_module._LRU(32))
+    cx = complex_for(load_builtin("U3"))
+    for k in range(122):
+        cx.rank(k)
+    assert not cx._bases._data and not cx._indexes._data and not cx._columns._data
+    assert cx.core is complex_for(load_builtin("E3"))
+    assert complex_for(load_builtin("E3")).core is None
+
+
+@pytest.mark.parametrize("label", BUILTIN_LABELS)
+def test_basis_size_counts_the_enumerated_basis(label):
+    cx = cohomology_module._Complex(load_builtin(label))
+    assert [cx.basis_size(k) for k in range(-2, 0)] == [0, 0]
+    assert [cx.basis_size(k) for k in range(122)] == [len(cx.basis(k)) for k in range(122)]
+
+
+@pytest.mark.parametrize("label", RANK_MODELS + ["U3"])
 def test_dimension_from_ranks_equals_window_dimension(label):
     cx = cohomology_module._Complex(_rank_model(label))
     for k in range(122):
-        dim = len(cx.basis(k)) - cx.rank(k - 1) - cx.rank(k)
+        dim = cx.basis_size(k) - cx.rank(k - 1) - cx.rank(k)
         assert dim == cohomology_module._Window.build(cx, k).dimension, k
 
 

@@ -1,0 +1,46 @@
+"""The corpus WES pass: build_wes + check_exactness on all 16 builtin models.
+
+    PYTHONPATH=src python3 tools/corpus_wes.py
+
+Runs the models in corpus order in one process, as acceptance criterion 5
+does, and prints one line per model: seconds for build + check, the number
+of exactness checks, whether every check passed, and the sha256 of the WES
+node data (`wes_digest` from the benchmark's workloads, so the digests
+compare with bench/golden.json).  The last line is the total time.  Exits 1
+if any report fails.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from cohaut.corpus import BUILTIN_LABELS, load_builtin  # noqa: E402
+from cohaut.whitehead import build_wes, check_exactness  # noqa: E402
+from workloads import wes_digest  # noqa: E402
+
+
+def main() -> int:
+    all_ok = True
+    total = 0.0
+    for label in BUILTIN_LABELS:
+        m = load_builtin(label)
+        t0 = time.perf_counter()
+        w = build_wes(m)
+        report = check_exactness(w)
+        seconds = time.perf_counter() - t0
+        total += seconds
+        all_ok = all_ok and report.ok
+        print(f"{label:7} {seconds:7.2f} s  {len(report.checks):4} checks  "
+              f"ok={report.ok}  {wes_digest(w)}", flush=True)
+    print(f"total   {total:7.2f} s")
+    return 0 if all_ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
