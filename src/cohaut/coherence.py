@@ -201,7 +201,7 @@ def try_lift(xi: GradedLinearMap) -> LiftResult:
     for v in source.generators:
         n1 = v.degree
         xi_v = xi.apply_gen(v)
-        dv = source.d(Polynomial.generator(v))
+        dv = source.differential(v)
         rhs = _extend(source, target, images, dv) - target.d(xi_v)
         if rhs.is_zero():
             u = Polynomial.zero()

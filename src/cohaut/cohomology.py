@@ -11,6 +11,10 @@ are numbered by ascending anchor (an inert monomial, or a block's smallest
 degree-k member followed by the block's echelon classes); each window finds
 them in one sorted anchor table with `bisect`.
 
+A coboundary column names the monomials it hits, so ranks need no positions.
+Positions are class coordinates and belong to windows: a window indexes its
+degree-k basis once, and the incoming columns and class queries read that.
+
 Where only a dimension is wanted, the complex answers from per-degree ranks:
 `_Complex.rank(k)` is the rank of d: (ΛV)^k -> (ΛV)^{k+1}, so that
 dim H^k = dim (ΛV)^k - rank(k-1) - rank(k).  It splits the columns of that
@@ -39,7 +43,7 @@ therefore derived from ΛV's window at k (`CohomologyBasis.below`): blocks with
 every member in ΛV^{<=c} carry over unchanged, and only blocks touching a
 dropped monomial are split again over their kept members.  The result is the
 window the truncation's own complex would build, class for class; it keeps
-ΛV's complex and indices and enters no cache.
+ΛV's complex and position index and enters no cache.
 
 Questions about a few degree-k monomials (`residues_independent`,
 `solve_coboundary`) are answered on their local block, not on a window.  The
@@ -114,14 +118,13 @@ class _LRU:
 
 
 class _Complex:
-    """Cached bases, coboundary columns and windows of one model's cochain
-    complex, on the model's integer-coded view."""
+    """Cached bases, coboundary columns, ranks and windows of one model's
+    cochain complex, on the model's integer-coded view."""
 
     def __init__(self, model: SullivanModel):
         self.model = model
         self.view = model._coded
         self._bases = _LRU(8)
-        self._indexes = _LRU(6)
         self._columns = _LRU(6)
         self._windows = _LRU(4)
         self._ranks: dict[int, int] = {}
@@ -140,23 +143,15 @@ class _Complex:
         """len(basis(degree)), counted from the Poincaré series."""
         return poincare_series(self.view.degs, degree)[degree] if degree >= 0 else 0
 
-    def index(self, degree: int) -> dict[Coded, int]:
-        def build():
-            b = self.basis(degree)
-            return dict(zip(b, range(len(b))))
-
-        return self._indexes.get_or_create(degree, build)
-
-    def columns(self, degree: int) -> dict[int, list[tuple[int, Fraction]]]:
-        """Sparse coboundary columns basis(degree) -> basis(degree + 1)."""
+    def columns(self, degree: int) -> dict[int, list[tuple[Coded, Fraction]]]:
+        """Sparse coboundary columns of basis(degree), rows keyed by monomial."""
         if degree < 0:
             return {}
         return self._columns.get_or_create(degree, lambda: self._build_columns(degree))
 
-    def _build_columns(self, degree: int) -> dict[int, list[tuple[int, Fraction]]]:
+    def _build_columns(self, degree: int) -> dict[int, list[tuple[Coded, Fraction]]]:
         active = self.view.diff
-        idx_up = self.index(degree + 1)
-        cols: dict[int, list[tuple[int, Fraction]]] = {}
+        cols: dict[int, list[tuple[Coded, Fraction]]] = {}
         d_coded = self.view.d_coded
         for i, mono in enumerate(self.basis(degree)):
             hit = False
@@ -168,7 +163,7 @@ class _Complex:
                 continue
             img = d_coded(mono)
             if img:
-                cols[i] = sorted((idx_up[m], c) for m, c in img.items())
+                cols[i] = list(img.items())
         return cols
 
     @property
@@ -314,12 +309,12 @@ class _Component:
         return coords
 
 
-def _blocks(*maps) -> list[list[tuple[int, int]]]:
+def _blocks(*maps) -> list[list[tuple]]:
     """Connected blocks of consecutive coboundary maps: `maps[i]` holds the
     sparse columns from level i to level i+1, and a node is a pair (level,
-    index).  Union-find over every stored column and the rows it hits; nodes
+    key).  Union-find over every stored column and the rows it hits; nodes
     that no column touches appear in no block."""
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
+    parent: dict[tuple, tuple] = {}
 
     def find(x):
         root = x
@@ -339,7 +334,7 @@ def _blocks(*maps) -> list[list[tuple[int, int]]]:
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[rb] = ra
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    groups: dict[tuple, list[tuple]] = {}
     for node in parent:
         groups.setdefault(find(node), []).append(node)
     return list(groups.values())
@@ -361,7 +356,7 @@ def _components(cols_km1, cols_k) -> list[_Component]:
     return comps
 
 
-def _coboundary_rank(cols: dict[int, list[tuple[int, Fraction]]]) -> int:
+def _coboundary_rank(cols: dict[int, list[tuple[Coded, Fraction]]]) -> int:
     """Rank of the map with these sparse columns, summed over its blocks.  A
     block with one column or one hit row has rank 1, since a stored column
     is nonzero; the others are eliminated densely (one row per column)."""
@@ -384,9 +379,10 @@ def _coboundary_rank(cols: dict[int, list[tuple[int, Fraction]]]) -> int:
 class _Window:
     """Cohomology data of one model at one degree k (uses degrees k-1..k+1).
 
-    Indices are positions in the bases of `cx`.  A window of a truncation
-    derived by `below` keeps the parent complex and its indices; its degree-k
-    basis is the subsequence `indices_k` of the parent's.
+    Indices are positions in the bases of `cx`, and `index` maps each coded
+    degree-k monomial to its own.  A window derived by `below` keeps the
+    parent's complex and index; its degree-k basis is the subsequence
+    `indices_k` of the parent's.
 
     The class layout is the sorted table `anchors`: anchor j is an inert
     monomial (`owners[j] == -1`, one class) or the smallest degree-k member
@@ -394,9 +390,10 @@ class _Window:
     `starts[j]`.
     """
 
-    def __init__(self, cx: _Complex, k: int, components: list[_Component], indices_k):
+    def __init__(self, cx: _Complex, k: int, components: list[_Component], index, indices_k):
         self.cx = cx
         self.degree = k
+        self.index: dict[Coded, int] = index
         self.components = components
         self.comp_of_k: dict[int, int] = {}
         for cid, comp in enumerate(components):
@@ -417,8 +414,10 @@ class _Window:
 
     @classmethod
     def build(cls, cx: _Complex, k: int) -> "_Window":
-        comps = _components(cx.columns(k - 1), cx.columns(k))
-        return cls(cx, k, comps, range(len(cx.basis(k))))
+        basis = cx.basis(k)
+        index = dict(zip(basis, range(len(basis))))
+        cols_km1 = {c: [(index[m], v) for m, v in col] for c, col in cx.columns(k - 1).items()}
+        return cls(cx, k, _components(cols_km1, cx.columns(k)), index, range(len(basis)))
 
     def below(self, cut: int) -> "_Window":
         """The window of the truncation ΛV^{<=cut} at the same degree.
@@ -466,7 +465,7 @@ class _Window:
         comps.extend(_components(sub_km1, sub_k))
         comps.sort(key=lambda comp: comp.rows_k[0])
         kept_k = [i for i, mono in enumerate(basis_k) if kept(mono)]
-        return _Window(cx, self.degree, comps, kept_k)
+        return _Window(cx, self.degree, comps, self.index, kept_k)
 
     # -- queries ----------------------------------------------------------------
 
@@ -500,7 +499,7 @@ class _Window:
     def classes_containing(self, mono: Coded) -> dict[int, Fraction]:
         """{class position: coefficient of the degree-k monomial `mono` in
         that class's representative}."""
-        idx = self.cx.index(self.degree)[mono]
+        idx = self.index[mono]
         cid = self.comp_of_k.get(idx)
         if cid is None:
             return {self._start(idx): _Q1}
@@ -534,8 +533,8 @@ class CohomologyBasis:
     """Basis of H^k(model): deterministic representatives and coordinates.
 
     Polynomials are coded with the model's own view, so a generator outside
-    the model raises ModelError; indices are looked up in the window's
-    complex, which for a basis from `below` is the parent's (the codes agree
+    the model raises ModelError; positions are looked up in the window's
+    index, which for a basis from `below` is the parent's (the codes agree
     on the generator prefix).
     """
 
@@ -576,7 +575,7 @@ class CohomologyBasis:
         dp = self.model.d(p)
         if dp:
             raise NotACocycle(f"d(p) = {dp} != 0")
-        index = self._window.cx.index(self.degree)
+        index = self._window.index
         encode = self.model._coded.encode
         vec = {index[encode(m)]: c for m, c in p.terms()}
         return CohomologyClass(self, self._window.class_of_vec(vec))
@@ -647,12 +646,12 @@ def coboundary_matrix(m: SullivanModel, k: int) -> list[list[Fraction]]:
     if k < 0:
         raise ValueError("degree must be >= 0")
     cx = complex_for(m)
-    n_rows = len(cx.basis(k + 1))
-    n_cols = len(cx.basis(k))
-    mat = [[_Q0] * n_cols for _ in range(n_rows)]
+    up = cx.basis(k + 1)
+    row_of = dict(zip(up, range(len(up))))
+    mat = [[_Q0] * len(cx.basis(k)) for _ in up]
     for c, col in cx.columns(k).items():
-        for r, val in col:
-            mat[r][c] = val
+        for mono, val in col:
+            mat[row_of[mono]][c] = val
     return mat
 
 

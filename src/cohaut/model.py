@@ -267,7 +267,9 @@ class _CodedModel:
         return _decode(self.gens, coded)
 
     def d_coded(self, mono: Coded) -> dict[Coded, Fraction]:
-        """Coded Leibniz differential of a coded monomial."""
+        """Coded Leibniz differential of a coded monomial.  The term of g in
+        prefix·g^e·suffix is merged as rest·d(g); for an even g, d(g) is odd
+        and passing the suffix makes the sign (-1)^{|prefix|+|suffix|}."""
         diff = self.diff
         degs = self.degs
         odd = self.odd
@@ -279,17 +281,12 @@ class _CodedModel:
             dg = diff.get(g)
             if dg is not None:
                 e = mono[pos + 1]
-                sign = -1 if prefix_deg % 2 else 1
+                rest = mono[:pos] + ((g, e - 1) if e > 1 else ()) + mono[pos + 2 :]
                 if odd[g]:
-                    rest = mono[:pos] + mono[pos + 2 :]
-                    head = sign
+                    head = -1 if prefix_deg % 2 else 1
                 else:
-                    rest = (
-                        mono[:pos] + (g, e - 1) + mono[pos + 2 :]
-                        if e > 1
-                        else mono[:pos] + mono[pos + 2 :]
-                    )
-                    head = sign * e
+                    word_deg = sum(degs[mono[q]] * mono[q + 1] for q in range(0, len(mono), 2))
+                    head = -e if word_deg % 2 else e
                 for dmon, c in dg:
                     s2, m2 = mul(odd, rest, dmon)
                     if s2:

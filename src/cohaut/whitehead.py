@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from . import linalg
-from .algebra import Polynomial, Q
+from .algebra import Monomial, Polynomial, Q
 from .cohomology import CohomologyBasis, cohomology, complex_for
 from .model import CochainMorphism, SullivanModel
 
@@ -116,7 +116,7 @@ def _node(m: SullivanModel, n: int) -> WESNode:
     gamma = h.below(n - 1)
     b_cols = []
     for g in gens:
-        cls = gamma.class_of(m.d(Polynomial.generator(g)))
+        cls = gamma.class_of(m.differential(g))
         b_cols.append(tuple(sorted(cls.coords.items())))
     # dim ker i = dim B^{n+1}(ΛV) - dim B^{n+1}(ΛV^{<=n-1}), see the module docstring
     ker_i = h.image_rank() - gamma.image_rank()
@@ -218,7 +218,7 @@ def check_exactness(w: WhiteheadSequence) -> ExactnessReport:
             detail = f"{len(node.b_columns)} stored b-columns != dim V^{n} = {len(node.gens)}"
         else:
             for g, col in zip(node.gens, node.b_columns):
-                cls = gamma.class_of(m.d(Polynomial.generator(m.generator(g))))
+                cls = gamma.class_of(m.differential(g))
                 if tuple(sorted(cls.coords.items())) != col:
                     detail = f"stored b-column of {g} differs from [d({g})]"
                     break
@@ -244,10 +244,8 @@ def check_exactness(w: WhiteheadSequence) -> ExactnessReport:
         # containment b(j(class)) = 0 for classes with a linear part
         if node.j_parts and node.gens:
             for pos, row in node.j_parts:
-                ell = Polynomial.zero()
-                for name, c in row:
-                    ell = ell + c * Polynomial.generator(m.generator(name))
-                cls = gamma.class_of(m.d(ell))
+                d_ell = sum((c * m.differential(name) for name, c in row), Polynomial.zero())
+                cls = gamma.class_of(d_ell)
                 ok_bj = cls.is_zero()
                 add(
                     ExactnessCheck(
@@ -262,7 +260,7 @@ def check_exactness(w: WhiteheadSequence) -> ExactnessReport:
         ok_ib = True
         detail = ""
         for g in node.gens:
-            cls = h_up.class_of(m.d(Polynomial.generator(m.generator(g))))
+            cls = h_up.class_of(m.differential(g))
             if not cls.is_zero():
                 ok_ib = False
                 detail = f"i(b({g})) != 0"
@@ -321,14 +319,14 @@ def naturality_check(f: CochainMorphism, n: int) -> NaturalityReport:
     gamma_tgt = cohomology(tgt, n + 1).below(n - 1)  # the Γ path of `build_wes`
     checks = []
     for g in src.gens_of_degree(n):
-        dv = src.d(Polynomial.generator(g))
+        dv = src.differential(g)
         lhs = gamma_tgt.class_of(f.apply(dv))  # H^{n+1}(f_(n-1)) (b(v))
         image = f.images[g.name]
         rhs_poly = Polynomial.zero()
         for w in tgt.gens_of_degree(n):
-            c = image.coefficient(Polynomial.generator(w).monomials()[0])
+            c = image.coefficient(Monomial(((w, 1),)))
             if c:
-                rhs_poly = rhs_poly + c * tgt.d(Polynomial.generator(w))
+                rhs_poly = rhs_poly + c * tgt.differential(w)
         rhs = gamma_tgt.class_of(rhs_poly)  # b'(ξ(v))
         ok = lhs == rhs
         checks.append(

@@ -44,6 +44,29 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
     assert "validation of V-ex31: PASS" in proc.stdout
 
 
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # as in `cohaut validate V-ex31 | head -1` once head has exited: the read
+    # end of the pipe is closed before the CLI writes
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cohaut", "validate", "V-ex31"],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_validate_file(tmp_path, capsys):
     path = tmp_path / "demo.mcca"
     path.write_text("model demo;\ngen a : 2;\ngen c : 5;\nd c = a^3;\n")

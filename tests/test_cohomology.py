@@ -178,7 +178,7 @@ def test_split_ranks_enumerate_no_basis_and_share_the_core(monkeypatch):
     cx = complex_for(load_builtin("U3"))
     for k in range(122):
         cx.rank(k)
-    assert not cx._bases._data and not cx._indexes._data and not cx._columns._data
+    assert not cx._bases._data and not cx._columns._data
     assert cx.core is complex_for(load_builtin("E3"))
     assert complex_for(load_builtin("E3")).core is None
 
@@ -368,7 +368,8 @@ def _window_residues_independent(m, k, monos):
     """residues_independent from the whole degree-k window: each monomial
     reduced by the image rows of its component, then one sparse rank."""
     cx = complex_for(m)
-    win, index = cx.window(k), cx.index(k)
+    win = cx.window(k)
+    index = win.index
     residues = []
     for mo in monos:
         i = index[cx.view.encode(mo)]
@@ -664,3 +665,18 @@ def test_representative_rejects_positions_outside_the_layout(V):
     for i in (-1, h.dimension):
         with pytest.raises(IndexError):
             h.representative(i)
+
+
+@pytest.mark.parametrize("label, k, cut", [("V-ex31", 43, 42), ("W-ex32", 120, 118), ("U3", 69, 43)])
+def test_the_window_holds_the_only_position_index(label, k, cut):
+    # columns name the degree-(k+1) monomials they hit; positions of
+    # degree-k monomials live on the window, and a derived window shares them
+    cx = cohomology_module._Complex(load_builtin(label))
+    degs = cx.view.degs
+    for mono_, _ in (row for col in cx.columns(k).values() for row in col):
+        assert sum(degs[mono_[p]] * mono_[p + 1] for p in range(0, len(mono_), 2)) == k + 1
+    win = cx.window(k)
+    assert win.index == {mono_: i for i, mono_ in enumerate(cx.basis(k))}
+    derived = win.below(cut)
+    assert derived is not win and derived.index is win.index
+    assert not hasattr(cx, "index") and not hasattr(cx, "_indexes")

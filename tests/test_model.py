@@ -1,9 +1,13 @@
 import random
+from datetime import timedelta
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cohaut.algebra import Generator, Monomial, Polynomial
+from cohaut.algebra import Generator, Monomial, Polynomial, basis
+from cohaut.cohomology import coboundary_matrix
 from cohaut.model import (
     CochainMorphism,
     ModelError,
@@ -19,6 +23,14 @@ P = Polynomial
 
 def mono(*factors):
     return Monomial(tuple(factors))
+
+
+def _even_active_model():
+    """x:2, a:3, b:4, c:5 with d b = x a and d c = x^3: b is an even generator
+    with d(b) != 0, so d(b c) needs the sign of the whole word b c."""
+    x, a, b, c = (Generator(name, deg) for name, deg in (("x", 2), ("a", 3), ("b", 4), ("c", 5)))
+    diff = {"b": P.monomial(mono((x, 1), (a, 1))), "c": P.monomial(mono((x, 3)))}
+    return SullivanModel([x, a, b, c], diff, label="even-active")
 
 
 # --- validation -----------------------------------------------------------------
@@ -96,7 +108,7 @@ def test_differential_leibniz_on_y1y2(V):
 
 def test_differential_is_a_derivation(V, W):
     rng = random.Random(23)
-    for m in (V, W):
+    for m in (V, W, _even_active_model()):
         degrees = [d for d in range(2, 100) if m.basis(d)]
         for _ in range(40):
             da, db = rng.choice(degrees), rng.choice(degrees)
@@ -107,10 +119,63 @@ def test_differential_is_a_derivation(V, W):
 
 
 def test_d_squared_vanishes_on_basis_spans(V, W, U1):
-    for m, degrees in ((V, (52, 119, 120)), (W, (119, 120)), (U1, (120,))):
+    even = _even_active_model()
+    for m, degrees in ((V, (52, 119, 120)), (W, (119, 120)), (U1, (120,)), (even, range(30))):
         for d in degrees:
             for monomial in m.basis(d):
                 assert m.d(m.d(P.monomial(monomial))).is_zero()
+
+
+@st.composite
+def _two_layer_models(draw):
+    """Closed generators of random degrees (so random parities), and active
+    generators of random parity whose differentials are random decomposable
+    polynomials in the closed ones: d∘d = 0 holds by construction."""
+    closed_degs = draw(st.lists(st.integers(2, 7), min_size=1, max_size=3))
+    closed = [Generator(f"c{i}", deg) for i, deg in enumerate(closed_degs)]
+    decomposable = [
+        mo for deg in range(4, 13) for mo in basis(closed, deg) if sum(e for _, e in mo.factors) >= 2
+    ]
+    active, diff = [], {}
+    for i in range(draw(st.integers(1, 3))):
+        odd = draw(st.booleans())  # parity of the active generator
+        pool = [mo for mo in decomposable if mo.degree % 2 != odd]
+        if not pool:
+            continue
+        lead = draw(st.sampled_from(pool))
+        poly = P.monomial(lead)
+        same = [mo for mo in pool if mo.degree == lead.degree]
+        for mo, c in zip(draw(st.lists(st.sampled_from(same), max_size=2)), (-1, Q(1, 2))):
+            poly = poly + P.monomial(mo, c)
+        g = Generator(f"v{i}", lead.degree - 1)
+        active.append(g)
+        diff[g.name] = poly
+    return SullivanModel(closed + active, diff, label="two-layer")
+
+
+_PICK = st.tuples(*[st.integers(0, 10**6)] * 4)
+
+
+@settings(derandomize=True, deadline=timedelta(seconds=2), max_examples=100)
+@given(m=_two_layer_models(), picks=st.lists(_PICK, min_size=1, max_size=4), k=st.integers(0, 12))
+@example(m=_even_active_model(), picks=[], k=9)  # d(b c) and d∘d in degree 9
+def test_leibniz_and_d_squared_on_random_two_layer_models(m, picks, k):
+    assert m.validate().ok
+    # every product of two generators, then random products of basis monomials
+    pairs = [(P.generator(g), P.generator(h)) for g in m.generators for h in m.generators]
+    for da, ia, db, ib in picks:
+        pool_a, pool_b = m.basis(da % 15), m.basis(db % 15)
+        if pool_a and pool_b:
+            a = P.monomial(pool_a[ia % len(pool_a)], [1, -1, 2, Q(1, 2)][ia % 4])
+            pairs.append((a, P.monomial(pool_b[ib % len(pool_b)])))
+    for a, b in pairs:
+        sign = -1 if a.homogeneous_degree() % 2 else 1
+        assert m.d(a * b) == m.d(a) * b + sign * (a * m.d(b)), (a, b)
+        assert m.d(m.d(a * b)).is_zero(), (a, b)
+    upper, lower = coboundary_matrix(m, k + 1), coboundary_matrix(m, k)
+    for row in upper:
+        for j in range(len(lower[0]) if lower else 0):
+            assert sum(r * lower[i][j] for i, r in enumerate(row)) == 0, (k, j)
 
 
 def test_generators_outside_the_model_are_rejected(V, W):
