@@ -297,8 +297,11 @@ def _sorted_gens(generators: Iterable[Generator]) -> tuple[Generator, ...]:
 #
 # Internally monomials are coded as flat int tuples (g0, e0, g1, e1, ...) over
 # the indices of a sorted generator tuple; coding keeps hashing and slicing
-# cheap.  The product, the Leibniz differential (model.py) and the degree-wise
-# bases all run on this coding; Monomial and Polynomial are its public views.
+# cheap.  The product and the Leibniz differential (model.py) run on this
+# coding; Monomial and Polynomial are its public views.  Bases and coboundary
+# columns run on packed exponent vectors (`_Packing`): one int per monomial,
+# on which a product is an integer sum.  `_enumerate` lists the degree-wise
+# bases packed, and `_Packing.unpack` turns a packed monomial into its code.
 
 Coded = tuple[int, ...]  # flat (gen index, exponent) pairs
 
@@ -435,40 +438,112 @@ def poincare_series(degs: tuple[int, ...], dmax: int) -> tuple[int, ...]:
     return _series(degs, dmax)[0]
 
 
-def _enumerate(degs: tuple[int, ...], degree: int) -> tuple[Coded, ...]:
-    """Coded monomials of degree `degree >= 0` in basis order (see iter_basis)."""
+def _packing_bound(degree: int) -> int:
+    """The degree bound of the packing of monomials of degree <= `degree`:
+    the least power of two >= degree, and at least 128, so one packing
+    serves every degree up to it."""
+    return max(128, 1 << (degree - 1).bit_length())
+
+
+class _Packing:
+    """Exponent vectors packed into one int, generator 0 most significant.
+
+    Field i holds the exponent of generator i and is wide enough for every
+    exponent a monomial of degree <= `dmax` can have: dmax // |x| for an even
+    generator x, 1 for an odd one.  So descending int order is basis order
+    (descending lexicographic exponent vectors), and a product of monomials
+    of degree <= dmax is the sum of their ints, with its Koszul sign read off
+    the odd generators' one-bit fields, whose union is the mask `odd` (the
+    packed exponent vectors of Monagan and Pearce, "Polynomial division using
+    dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
+    """
+
+    __slots__ = ("dmax", "shifts", "odd", "_fields")
+
+    def __init__(self, degs: tuple[int, ...], degree: int):
+        self.dmax = dmax = _packing_bound(degree)
+        shifts = [0] * len(degs)
+        fields = [(0, 0)] * len(degs)
+        odd = top = 0
+        for i in reversed(range(len(degs))):
+            if degs[i] % 2:
+                odd |= 1 << top
+                width = 1
+            else:
+                width = (dmax // degs[i]).bit_length()
+            shifts[i] = top
+            fields[i] = (top, (1 << width) - 1)
+            top += width
+        self.shifts = tuple(shifts)
+        self.odd = odd
+        self._fields = tuple(fields)
+
+    def pack(self, coded: Coded) -> int:
+        shifts = self.shifts
+        return sum(coded[p + 1] << shifts[coded[p]] for p in range(0, len(coded), 2))
+
+    def unpack(self, packed: int) -> Coded:
+        out: list[int] = []
+        for i, (shift, mask) in enumerate(self._fields):
+            e = packed >> shift & mask
+            if e:
+                out.append(i)
+                out.append(e)
+        return tuple(out)
+
+    def low(self, i: int) -> int:
+        """The mask of the fields of generators i.. (all bits when i == 0)."""
+        return (1 << self.shifts[i - 1]) - 1 if i else -1
+
+    def koszul(self, coded: Coded) -> int:
+        """The mask K with sign(P·X) = (-1)^{popcount(P & K)} for a packed P
+        and the coded word X, when P and X share no odd letter: each odd
+        letter x of X passes the odd letters of P that come after it, whose
+        fields lie below x's."""
+        mask = 0
+        for p in range(0, len(coded), 2):
+            shift = self.shifts[coded[p]]
+            if self.odd >> shift & 1:
+                mask ^= self.odd & ((1 << shift) - 1)
+        return mask
+
+
+def _enumerate(degs: tuple[int, ...], degree: int, shifts: tuple[int, ...]) -> tuple[int, ...]:
+    """Packed monomials of degree `degree >= 0` in basis order (see
+    iter_basis), field i at bit offset shifts[i].  The generators may be a
+    subsequence of a packing's, with that packing's shifts.
+
+    The monomials of degree r in generators i.. are those of generators
+    i+1.. of degree r - e·|x_i|, plus e·x_i, for e from high to low; each
+    such list is built once per call and shared by every prefix reaching it.
+    """
     reach = _series(degs, degree)  # nonzero iff the remaining degree is reachable
-    n = len(degs)
-    out: list[Coded] = []
-    stack: list[int] = []
+    lists: dict[tuple[int, int], list[int]] = {}
 
-    def rec(i: int, rem: int) -> None:
-        if rem == 0:
-            out.append(tuple(stack))
-            return
-        if i == n or not reach[i][rem]:
-            return
-        d = degs[i]
-        if d % 2:
-            if d <= rem and reach[i + 1][rem - d]:
-                stack.append(i)
-                stack.append(1)
-                rec(i + 1, rem - d)
-                del stack[-2:]
-            rec(i + 1, rem)
-        else:
+    def suffix(i: int, rem: int) -> list[int]:
+        # degree-rem monomials in generators i.., in basis order; reach[i][rem] != 0
+        out = lists.get((i, rem))
+        if out is None:
+            d = degs[i]
+            shift = shifts[i]
             nxt = reach[i + 1]
-            for e in range(rem // d, 0, -1):
-                if nxt[rem - e * d]:
-                    stack.append(i)
-                    stack.append(e)
-                    rec(i + 1, rem - e * d)
-                    del stack[-2:]
-            if nxt[rem]:
-                rec(i + 1, rem)
+            out = []
+            for e in range(1 if d % 2 else rem // d, -1, -1):
+                r = rem - e * d
+                if r == 0:
+                    out.append(e << shift)
+                elif r > 0 and nxt[r]:
+                    if e:
+                        a = e << shift
+                        out.extend([a + x for x in suffix(i + 1, r)])
+                    else:
+                        out.extend(suffix(i + 1, r))
+            lists[(i, rem)] = out
+        return out
 
-    rec(0, degree)
-    return tuple(out)
+    if degree == 0:
+        return (0,)
+    return tuple(suffix(0, degree)) if reach[0][degree] else ()
 
 
 # --- bases and coordinates ----------------------------------------------------
@@ -485,8 +560,10 @@ def iter_basis(
     if degree < 0:
         raise AlgebraError("negative degree")
     gens = _sorted_gens(generators)
-    for coded in _enumerate(tuple(g.degree for g in gens), degree):
-        yield _decode(gens, coded)
+    degs = tuple(g.degree for g in gens)
+    packing = _Packing(degs, degree)
+    for packed in _enumerate(degs, degree, packing.shifts):
+        yield _decode(gens, packing.unpack(packed))
 
 
 @lru_cache(maxsize=256)

@@ -11,9 +11,30 @@ are numbered by ascending anchor (an inert monomial, or a block's smallest
 degree-k member followed by the block's echelon classes); each window finds
 them in one sorted anchor table with `bisect`.
 
-A coboundary column names the monomials it hits, so ranks need no positions.
-Positions are class coordinates and belong to windows: a window indexes its
-degree-k basis once, and the incoming columns and class queries read that.
+Monomials are packed exponent vectors (`algebra._Packing`): one int each,
+generator 0 most significant, so descending int order is basis order and a
+product is an integer sum.  A coboundary column names the packed monomials it
+hits, so ranks need no positions.  Positions are class coordinates and belong
+to windows: a window enumerates and indexes its degree-k basis once, for its
+class layout, and the incoming columns and class queries read that index.
+Degree-(k-1) monomials keep their packed ints, so no window enumerates
+basis(k-1).
+
+Every column comes from a template.  A generator is closed when d of it is 0
+and active otherwise.  A monomial with an active factor is P·A, with P a
+monomial in the closed generators and A != 1 a word in the active ones; in
+canonical order it is M = κ(P, A)·P·A, where κ(P, X) is the Koszul sign of
+the product P·X.  Since d(P) = 0, d(M) = κ(P, A)·(-1)^{|P|}·P·d(A), which is
+the sum of κ(P, A)·(-1)^{|P|}·κ(P, T)·c·(P + T) over the terms c·T of d(A);
+P·T = 0 when P and T share an odd letter, and distinct T give distinct
+P + T, so nothing cancels.  Each of the three signs is (-1)^n, n the number
+of odd letters of P under a mask: all of them for (-1)^{|P|}, and for
+κ(P, X), per odd letter x of X, those that come after x (`_Packing.koszul`).
+The three masks XOR into one sign mask per template term.  So d(A) is expanded
+once per active word (`_Complex._words`; active words are enumerated by
+degree, as an even active generator gives infinitely many), and a column
+costs one addition and at most one popcount per term.  The columns of degree
+k enumerate no basis of ΛV, only the closed monomials of degree k - |A|.
 
 Where only a dimension is wanted, the complex answers from per-degree ranks:
 `_Complex.rank(k)` is the rank of d: (ΛV)^k -> (ΛV)^{k+1}, so that
@@ -38,7 +59,8 @@ itself as before.
 
 A truncation ΛV^{<=c} is a sub-complex whose bases are order-preserving
 subsequences of ΛV's (generators are sorted by degree, so its monomials are
-those whose last generator lies in a prefix).  Its window at degree k is
+those whose packed fields of the generators of degree > c are zero, one
+bit-mask test).  Its window at degree k is
 therefore derived from ΛV's window at k (`CohomologyBasis.below`): blocks with
 every member in ΛV^{<=c} carry over unchanged, and only blocks touching a
 dropped monomial are split again over their kept members.  The result is the
@@ -54,7 +76,7 @@ u = (M/t)·v for a generator v and a term t of d(v) dividing M; each such
 candidate is kept if M survives in d(u).  The closure is exact: d(u) lies in
 u's block, so a relation Σ aᵢMᵢ = d(Σ bⱼuⱼ) restricts to the blocks of the
 Mᵢ.  `solve_coboundary` orders the block's columns by basis order
-(descending lexicographic exponent vectors, as `_enumerate` lists them).  The
+(descending packed ints, as `_enumerate` lists them).  The
 system of the whole degree is block-diagonal, and the pivot columns of a
 block-diagonal matrix are the union of each block's pivot columns in any
 interleaving, so the free-variables-zero solution is the one the whole
@@ -83,6 +105,8 @@ from .algebra import (
     _div_coded,
     _enumerate,
     _mul_coded,
+    _Packing,
+    _packing_bound,
     poincare_series,
 )
 from .model import SullivanModel, _CodedModel
@@ -119,52 +143,118 @@ class _LRU:
 
 class _Complex:
     """Cached bases, coboundary columns, ranks and windows of one model's
-    cochain complex, on the model's integer-coded view."""
+    cochain complex, on the model's integer-coded view.
+
+    Monomials are packed ints (`algebra._Packing`).  Everything at degree k
+    (basis(k), columns(k) and the window at k) uses the packing of degree
+    k + 1, `packing(k + 1)`; the window at k also reads columns(k - 1) in it.
+    """
 
     def __init__(self, model: SullivanModel):
         self.model = model
-        self.view = model._coded
+        self.view = view = model._coded
         self._bases = _LRU(8)
         self._columns = _LRU(6)
         self._windows = _LRU(4)
         self._ranks: dict[int, int] = {}
+        self._packings: dict[int, _Packing] = {}
+        # templates of the active words, by (packing bound, word degree)
+        self._templates: dict[tuple[int, int], list[tuple[int, list[tuple[int, int, Fraction]]]]] = {}
+        diff = view.diff
+        n = len(view.degs)
+        self._active = tuple(i for i in range(n) if i in diff)
+        self._closed = tuple(i for i in range(n) if i not in diff)
         # free generators: closed, and a factor of no term of any differential
-        diff = self.view.diff
         used = {t[p] for dv in diff.values() for t, _ in dv for p in range(0, len(t), 2)}
-        self._free = [i for i in range(len(self.view.degs)) if i not in diff and i not in used]
+        self._free = [i for i in self._closed if i not in used]
         self._core: _Complex | None = None
 
-    def basis(self, degree: int) -> tuple[Coded, ...]:
+    def packing(self, degree: int) -> _Packing:
+        """The packing of monomials of degree <= `degree` (one per bound)."""
+        bound = _packing_bound(degree)
+        pk = self._packings.get(bound)
+        if pk is None:
+            pk = self._packings.setdefault(bound, _Packing(self.view.degs, bound))
+        return pk
+
+    def basis(self, degree: int) -> tuple[int, ...]:
+        """Packed basis(degree), in packing(degree + 1)."""
         if degree < 0:
             return ()
-        return self._bases.get_or_create(degree, lambda: _enumerate(self.view.degs, degree))
+        return self._bases.get_or_create(
+            degree,
+            lambda: _enumerate(self.view.degs, degree, self.packing(degree + 1).shifts),
+        )
 
     def basis_size(self, degree: int) -> int:
         """len(basis(degree)), counted from the Poincaré series."""
         return poincare_series(self.view.degs, degree)[degree] if degree >= 0 else 0
 
-    def columns(self, degree: int) -> dict[int, list[tuple[Coded, Fraction]]]:
-        """Sparse coboundary columns of basis(degree), rows keyed by monomial."""
+    def columns(
+        self, degree: int, pk: _Packing | None = None
+    ) -> dict[int, list[tuple[int, Fraction]]]:
+        """Sparse coboundary columns of basis(degree), packed in `pk` (by
+        default packing(degree + 1)): each nonzero column, keyed by its
+        monomial, as (degree-(k+1) monomial, coefficient) rows."""
         if degree < 0:
             return {}
-        return self._columns.get_or_create(degree, lambda: self._build_columns(degree))
+        if pk is None:
+            pk = self.packing(degree + 1)
+        return self._columns.get_or_create(
+            (pk.dmax, degree), lambda: self._build_columns(degree, pk)
+        )
 
-    def _build_columns(self, degree: int) -> dict[int, list[tuple[Coded, Fraction]]]:
-        active = self.view.diff
-        cols: dict[int, list[tuple[Coded, Fraction]]] = {}
-        d_coded = self.view.d_coded
-        for i, mono in enumerate(self.basis(degree)):
-            hit = False
-            for p in range(0, len(mono), 2):
-                if mono[p] in active:
-                    hit = True
-                    break
-            if not hit:
+    def _build_columns(self, degree: int, pk: _Packing) -> dict[int, list[tuple[int, Fraction]]]:
+        """Every column, from the templates of the active words: the monomial
+        P + A (P closed, A active) has the rows P + T, signed by the mask of
+        the template term T of d(A) (see the module docstring)."""
+        degs = self.view.degs
+        closed_degs = tuple(degs[i] for i in self._closed)
+        closed_shifts = tuple(pk.shifts[i] for i in self._closed)
+        n_words = poincare_series(tuple(degs[i] for i in self._active), degree)
+        odd = pk.odd
+        cols: dict[int, list[tuple[int, Fraction]]] = {}
+        for j in range(1, degree + 1):
+            words = self._words(j, pk) if n_words[j] else ()
+            if not words:
                 continue
-            img = d_coded(mono)
-            if img:
-                cols[i] = list(img.items())
+            closed = _enumerate(closed_degs, degree - j, closed_shifts)
+            for a, terms in words:
+                for p in closed:
+                    if p & odd:
+                        col = [
+                            (p + t, -c if (p & signs).bit_count() & 1 else c)
+                            for t, signs, c in terms
+                            if not p & t & odd
+                        ]
+                        if col:
+                            cols[p + a] = col
+                    else:
+                        cols[p + a] = [(p + t, c) for t, _, c in terms]
         return cols
+
+    def _words(self, degree: int, pk: _Packing) -> list[tuple[int, list[tuple[int, int, Fraction]]]]:
+        """The templates of the degree-`degree` active words A with d(A) != 0:
+        (A, [(T, sign mask, c) for each term c·T of d(A)]), kept per packing.
+        The sign mask is odd ^ K(A) ^ K(T), with the Koszul masks K of
+        `_Packing.koszul`."""
+        key = (pk.dmax, degree)
+        words = self._templates.get(key)
+        if words is None:
+            view = self.view
+            active = self._active
+            words = []
+            for a in _enumerate(
+                tuple(view.degs[i] for i in active), degree, tuple(pk.shifts[i] for i in active)
+            ):
+                word = pk.unpack(a)
+                image = view.d_coded(word)
+                if image:
+                    base = pk.odd ^ pk.koszul(word)
+                    terms = [(pk.pack(t), base ^ pk.koszul(t), c) for t, c in image.items()]
+                    words.append((a, terms))
+            words = self._templates.setdefault(key, words)
+        return words
 
     @property
     def core(self) -> "_Complex | None":
@@ -356,7 +446,7 @@ def _components(cols_km1, cols_k) -> list[_Component]:
     return comps
 
 
-def _coboundary_rank(cols: dict[int, list[tuple[Coded, Fraction]]]) -> int:
+def _coboundary_rank(cols: dict[int, list[tuple[int, Fraction]]]) -> int:
     """Rank of the map with these sparse columns, summed over its blocks.  A
     block with one column or one hit row has rank 1, since a stored column
     is nonzero; the others are eliminated densely (one row per column)."""
@@ -379,10 +469,12 @@ def _coboundary_rank(cols: dict[int, list[tuple[Coded, Fraction]]]) -> int:
 class _Window:
     """Cohomology data of one model at one degree k (uses degrees k-1..k+1).
 
-    Indices are positions in the bases of `cx`, and `index` maps each coded
-    degree-k monomial to its own.  A window derived by `below` keeps the
-    parent's complex and index; its degree-k basis is the subsequence
-    `indices_k` of the parent's.
+    Monomials are packed in `packing`, that of degree k+1 (see `_Complex`).
+    A degree-k monomial is named by its position in `cx.basis(k)`, and
+    `index` maps each packed degree-k monomial to its own; degree-(k-1) and
+    degree-(k+1) monomials are named by their packed ints.  A window derived
+    by `below` keeps the parent's complex and index; its degree-k basis is
+    the subsequence `indices_k` of the parent's.
 
     The class layout is the sorted table `anchors`: anchor j is an inert
     monomial (`owners[j] == -1`, one class) or the smallest degree-k member
@@ -393,7 +485,8 @@ class _Window:
     def __init__(self, cx: _Complex, k: int, components: list[_Component], index, indices_k):
         self.cx = cx
         self.degree = k
-        self.index: dict[Coded, int] = index
+        self.packing = cx.packing(k + 1)
+        self.index: dict[int, int] = index
         self.components = components
         self.comp_of_k: dict[int, int] = {}
         for cid, comp in enumerate(components):
@@ -416,16 +509,20 @@ class _Window:
     def build(cls, cx: _Complex, k: int) -> "_Window":
         basis = cx.basis(k)
         index = dict(zip(basis, range(len(basis))))
-        cols_km1 = {c: [(index[m], v) for m, v in col] for c, col in cx.columns(k - 1).items()}
-        return cls(cx, k, _components(cols_km1, cx.columns(k)), index, range(len(basis)))
+        cols_km1 = {
+            c: [(index[m], v) for m, v in col]
+            for c, col in cx.columns(k - 1, cx.packing(k + 1)).items()
+        }
+        cols_k = {index[c]: col for c, col in cx.columns(k).items()}
+        return cls(cx, k, _components(cols_km1, cols_k), index, range(len(basis)))
 
     def below(self, cut: int) -> "_Window":
         """The window of the truncation ΛV^{<=cut} at the same degree.
 
         Generators are sorted by degree, so ΛV^{<=cut} is spanned by the
-        monomials whose last generator index lies below the first index of
-        degree > cut; its bases are the order-preserving subsequences of the
-        parent's.  d maps ΛV^{<=cut} into itself (the truncation is a
+        monomials with zero packed fields for the generators of degree > cut
+        (one bit-mask test); its bases are the order-preserving subsequences
+        of the parent's.  d maps ΛV^{<=cut} into itself (the truncation is a
         sub-complex), so a block of the parent with every member kept is a
         block of the truncation with the same matrices; only the blocks that
         touch a dropped monomial are split again, over their kept members.
@@ -440,31 +537,27 @@ class _Window:
         p = bisect.bisect_right(degs, cut)
         if p == len(degs) or degs[p] > self.degree + 1:
             return self
-        basis_km1 = cx.basis(self.degree - 1)
+        dropped = self.packing.low(p)
         basis_k = cx.basis(self.degree)
-
-        def kept(mono: Coded) -> bool:
-            return not mono or mono[-2] < p
-
         comps: list[_Component] = []
         sub_km1: dict[int, list[tuple[int, Fraction]]] = {}
         sub_k: dict[int, list[tuple[int, Fraction]]] = {}
         for comp in self.components:
-            if all(kept(basis_k[g]) for g in comp.rows_k) and all(
-                kept(basis_km1[c]) for c in comp.cols_km1
+            if not any(basis_k[g] & dropped for g in comp.rows_k) and not any(
+                c & dropped for c in comp.cols_km1
             ):
                 comps.append(comp)
                 continue
             # a kept monomial's column lies in the truncation: take it as is
             for c in comp.cols_km1:
-                if kept(basis_km1[c]):
+                if not c & dropped:
                     sub_km1[c] = comp._cols_km1_src[c]
             for g in comp.cols_k_members:
-                if kept(basis_k[g]):
+                if not basis_k[g] & dropped:
                     sub_k[g] = comp._cols_k_src[g]
         comps.extend(_components(sub_km1, sub_k))
         comps.sort(key=lambda comp: comp.rows_k[0])
-        kept_k = [i for i, mono in enumerate(basis_k) if kept(mono)]
+        kept_k = [i for i, mono in enumerate(basis_k) if not mono & dropped]
         return _Window(cx, self.degree, comps, self.index, kept_k)
 
     # -- queries ----------------------------------------------------------------
@@ -496,9 +589,9 @@ class _Window:
                     out[self._start(comp.rows_k[0]) + local_no] = coord
         return out
 
-    def classes_containing(self, mono: Coded) -> dict[int, Fraction]:
-        """{class position: coefficient of the degree-k monomial `mono` in
-        that class's representative}."""
+    def classes_containing(self, mono: int) -> dict[int, Fraction]:
+        """{class position: coefficient of the packed degree-k monomial
+        `mono` in that class's representative}."""
         idx = self.index[mono]
         cid = self.comp_of_k.get(idx)
         if cid is None:
@@ -533,9 +626,9 @@ class CohomologyBasis:
     """Basis of H^k(model): deterministic representatives and coordinates.
 
     Polynomials are coded with the model's own view, so a generator outside
-    the model raises ModelError; positions are looked up in the window's
-    index, which for a basis from `below` is the parent's (the codes agree
-    on the generator prefix).
+    the model raises ModelError, and packed in the window's packing;
+    positions are looked up in the window's index, which for a basis from
+    `below` is the parent's (the codes agree on the generator prefix).
     """
 
     __slots__ = ("model", "degree", "dimension", "_window")
@@ -559,10 +652,12 @@ class CohomologyBasis:
         return self._window.image_rank()
 
     def representative(self, i: int) -> Polynomial:
-        vec = self._window.representative_vec(i)
-        cx = self._window.cx
-        b = cx.basis(self.degree)
-        return Polynomial({cx.view.decode(b[idx]): c for idx, c in vec.items()})
+        window = self._window
+        vec = window.representative_vec(i)
+        b = window.cx.basis(self.degree)
+        decode = window.cx.view.decode
+        unpack = window.packing.unpack
+        return Polynomial({decode(unpack(b[idx])): c for idx, c in vec.items()})
 
     def representatives(self) -> list[Polynomial]:
         return [self.representative(i) for i in range(self.dimension)]
@@ -577,7 +672,8 @@ class CohomologyBasis:
             raise NotACocycle(f"d(p) = {dp} != 0")
         index = self._window.index
         encode = self.model._coded.encode
-        vec = {index[encode(m)]: c for m, c in p.terms()}
+        pack = self._window.packing.pack
+        vec = {index[pack(encode(m))]: c for m, c in p.terms()}
         return CohomologyClass(self, self._window.class_of_vec(vec))
 
     def linear_parts(self) -> dict[int, dict[str, Fraction]]:
@@ -590,9 +686,10 @@ class CohomologyBasis:
         if not gens:
             return {}
         encode = self.model._coded.encode
+        pack = self._window.packing.pack
         out: dict[int, dict[str, Fraction]] = {}
         for g in gens:
-            for pos, c in self._window.classes_containing(encode(Monomial(((g, 1),)))).items():
+            for pos, c in self._window.classes_containing(pack(encode(Monomial(((g, 1),))))).items():
                 out.setdefault(pos, {})[g.name] = c
         return out
 
@@ -642,16 +739,21 @@ def class_of(m: SullivanModel, k: int, p: Polynomial) -> CohomologyClass:
 
 
 def coboundary_matrix(m: SullivanModel, k: int) -> list[list[Fraction]]:
-    """Dense matrix of d: degree k -> k+1 over the monomial bases."""
+    """Dense matrix of d: degree k -> k+1 over the monomial bases, from one
+    Leibniz expansion (`d_coded`) per basis monomial: an oracle that does not
+    read the template columns."""
     if k < 0:
         raise ValueError("degree must be >= 0")
     cx = complex_for(m)
-    up = cx.basis(k + 1)
-    row_of = dict(zip(up, range(len(up))))
-    mat = [[_Q0] * len(cx.basis(k)) for _ in up]
-    for c, col in cx.columns(k).items():
-        for mono, val in col:
-            mat[row_of[mono]][c] = val
+    unpack_up = cx.packing(k + 2).unpack
+    row_of = {unpack_up(mono): i for i, mono in enumerate(cx.basis(k + 1))}
+    src = cx.basis(k)
+    unpack = cx.packing(k + 1).unpack
+    d_coded = cx.view.d_coded
+    mat = [[_Q0] * len(src) for _ in row_of]
+    for j, mono in enumerate(src):
+        for hit, val in d_coded(unpack(mono)).items():
+            mat[row_of[hit]][j] = val
     return mat
 
 
@@ -720,15 +822,7 @@ def solve_coboundary(m: SullivanModel, k: int, rhs: Polynomial) -> Polynomial | 
             rows.setdefault(mono, len(rows))
     if not rows.keys() >= vec.keys():
         return None  # a monomial of rhs is a term of no d(u)
-    n = len(view.degs)
-
-    def exponents(u: Coded) -> list[int]:
-        e = [0] * n
-        for p in range(0, len(u), 2):
-            e[u[p]] = u[p + 1]
-        return e
-
-    order = sorted(cols, key=exponents, reverse=True)  # basis order
+    order = sorted(cols, key=_Packing(view.degs, k).pack, reverse=True)  # basis order
     mat = [[_Q0] * len(order) for _ in rows]
     for j, u in enumerate(order):
         for mono, c in cols[u].items():

@@ -22,6 +22,7 @@ from cohaut.cohomology import (
 )
 from cohaut.corpus import BUILTIN_LABELS, load_builtin
 from cohaut.model import CochainMorphism, ModelError, SullivanModel, identity
+from test_model import _even_active_model
 
 P = Polynomial
 cohomology_module = importlib.import_module("cohaut.cohomology")
@@ -136,15 +137,27 @@ def _even_free_model():
     return SullivanModel([x, w, y, *free], {"y": P.monomial(mono((x, 1), (w, 1)))})
 
 
+def _odd_closed_model():
+    # the closed odd generator w comes after the active odd a, so a column of
+    # a monomial with both letters carries a Koszul sign; b is even and active
+    x, a, w, b = (Generator(name, deg) for name, deg in (("x", 2), ("a", 3), ("w", 5), ("b", 8)))
+    diff = {"a": P.monomial(mono((x, 2))), "b": P.monomial(mono((x, 2), (w, 1)))}
+    return SullivanModel([x, a, w, b], diff, label="odd-closed")
+
+
 def _rank_model(label):
     if label == "zero-d":
         return SullivanModel([Generator("a", 2), Generator("b", 3), Generator("c", 4)], {})
     if label == "even-free":
         return _even_free_model()
+    if label == "even-active":
+        return _even_active_model()
+    if label == "odd-closed":
+        return _odd_closed_model()
     return load_builtin(label)
 
 
-RANK_MODELS = ["V-ex31", "W-ex32", "E3", "zero-d", "even-free"]
+RANK_MODELS = ["V-ex31", "W-ex32", "E3", "zero-d", "even-free", "even-active", "odd-closed"]
 
 
 @pytest.mark.parametrize("label", RANK_MODELS)
@@ -180,7 +193,43 @@ def test_split_ranks_enumerate_no_basis_and_share_the_core(monkeypatch):
         cx.rank(k)
     assert not cx._bases._data and not cx._columns._data
     assert cx.core is complex_for(load_builtin("E3"))
+    assert not cx.core._bases._data  # the core's ranks come from templates
     assert complex_for(load_builtin("E3")).core is None
+
+
+def _leibniz_columns(cx, k):
+    """columns(k) from one Leibniz expansion per basis monomial."""
+    pk = cx.packing(k + 1)
+    out = {}
+    for mono_ in cx.basis(k):
+        image = cx.view.d_coded(pk.unpack(mono_))
+        if image:
+            out[mono_] = {pk.pack(t): c for t, c in image.items()}
+    return out
+
+
+@pytest.mark.parametrize(
+    "label", ["V-ex31", "W-ex32", "E3", "E7", "U3", "U8", "even-active", "odd-closed"]
+)
+def test_template_columns_equal_the_leibniz_columns(label):
+    # entry for entry, with signs; U3 and U8 have odd closed generators
+    cx = cohomology_module._Complex(_rank_model(label))
+    for k in range(122):
+        assert {c: dict(col) for c, col in cx.columns(k).items()} == _leibniz_columns(cx, k), k
+
+
+def test_packed_fields_are_as_wide_as_the_degree_needs():
+    # x^300 needs more than 8 bits; the window at 128 uses the packing of
+    # bound 256 and reads columns(127) in it, while rank(127) uses bound 128
+    m = _odd_closed_model()
+    cx = cohomology_module._Complex(m)
+    pk = cx.packing(601)
+    assert pk.unpack(pk.pack((0, 300, 2, 1))) == (0, 300, 2, 1)
+    for k in (126, 127, 128, 129, 599, 600, 601):
+        assert cx.rank(k) == linalg.rank(coboundary_matrix(m, k)), k
+        assert {c: dict(col) for c, col in cx.columns(k).items()} == _leibniz_columns(cx, k), k
+        dim = cx.basis_size(k) - cx.rank(k - 1) - cx.rank(k)
+        assert dim == cohomology_module._Window.build(cx, k).dimension, k
 
 
 @pytest.mark.parametrize("label", BUILTIN_LABELS)
@@ -372,7 +421,7 @@ def _window_residues_independent(m, k, monos):
     index = win.index
     residues = []
     for mo in monos:
-        i = index[cx.view.encode(mo)]
+        i = index[win.packing.pack(cx.view.encode(mo))]
         cid = win.comp_of_k.get(i)
         if cid is None:
             residues.append({i: Q(1)})
@@ -429,8 +478,8 @@ def _draw_pools(label, k):
     cx = complex_for(m)
     basis = cx.basis(k)
     active = sorted(i for c in cx.window(k).components for i in c.rows_k)
-    decode = cx.view.decode
-    return m, [decode(b) for b in basis], [decode(basis[i]) for i in active]
+    unpack, decode = cx.packing(k + 1).unpack, cx.view.decode
+    return m, [decode(unpack(b)) for b in basis], [decode(unpack(basis[i])) for i in active]
 
 
 @settings(derandomize=True, deadline=timedelta(seconds=5), max_examples=150)
@@ -669,14 +718,16 @@ def test_representative_rejects_positions_outside_the_layout(V):
 
 @pytest.mark.parametrize("label, k, cut", [("V-ex31", 43, 42), ("W-ex32", 120, 118), ("U3", 69, 43)])
 def test_the_window_holds_the_only_position_index(label, k, cut):
-    # columns name the degree-(k+1) monomials they hit; positions of
+    # columns name the packed degree-(k+1) monomials they hit; positions of
     # degree-k monomials live on the window, and a derived window shares them
-    cx = cohomology_module._Complex(load_builtin(label))
-    degs = cx.view.degs
+    m = load_builtin(label)
+    cx = cohomology_module._Complex(m)
+    unpack, decode = cx.packing(k + 1).unpack, cx.view.decode
     for mono_, _ in (row for col in cx.columns(k).values() for row in col):
-        assert sum(degs[mono_[p]] * mono_[p + 1] for p in range(0, len(mono_), 2)) == k + 1
+        assert decode(unpack(mono_)).degree == k + 1
     win = cx.window(k)
     assert win.index == {mono_: i for i, mono_ in enumerate(cx.basis(k))}
+    assert [decode(unpack(mono_)) for mono_ in win.index] == list(m.basis(k))
     derived = win.below(cut)
     assert derived is not win and derived.index is win.index
     assert not hasattr(cx, "index") and not hasattr(cx, "_indexes")
