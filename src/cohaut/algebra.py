@@ -61,9 +61,22 @@ class Monomial:
     degree: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "degree", sum(g.degree * e for g, e in self.factors)
-        )
+        degree = 0
+        prev = None
+        for g, e in self.factors:
+            key = (g.degree, g.name)
+            if prev is not None and not prev < key:
+                what = "repeats" if prev == key else "is not in canonical order after"
+                raise AlgebraError(f"monomial {self}: {g.name} {what} {prev[1]}")
+            if e < 1:
+                raise AlgebraError(f"monomial {self}: exponent {e} < 1 for generator {g.name}")
+            if e != 1 and g.degree % 2:
+                raise AlgebraError(
+                    f"monomial {self}: odd generator {g.name} has exponent {e} != 1"
+                )
+            degree += g.degree * e
+            prev = key
+        object.__setattr__(self, "degree", degree)
 
     @property
     def is_unit(self) -> bool:
@@ -85,17 +98,18 @@ class Monomial:
         return (self.degree, tuple((g.sort_key, -e) for g, e in self.factors))
 
     def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        return "*".join(
-            g.name if e == 1 else f"{g.name}^{e}" for g, e in self.factors
-        )
+        return _word(self.factors)
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
 
 
 UNIT = Monomial(())
+
+
+def _word(factors: Iterable[tuple[Generator, int]]) -> str:
+    """Display form of a factor list: x^2*y, or 1 when it is empty."""
+    return "*".join(g.name if e == 1 else f"{g.name}^{e}" for g, e in factors) or "1"
 
 
 def canonicalize(
@@ -156,24 +170,23 @@ class Polynomial:
     @classmethod
     def from_raw_terms(
         cls, raw: Iterable[tuple[Fraction, Iterable[tuple[Generator, int]]]]
-    ) -> tuple["Polynomial", list[Monomial]]:
+    ) -> tuple["Polynomial", list[str]]:
         """Canonicalize raw (coeff, factor-list) terms.
 
-        Returns the polynomial together with the list of raw words that
-        normalized to zero (odd generator powers), so callers can report them.
+        Returns the polynomial together with the raw words that normalized to
+        zero (odd generator powers), in display form with sorted, merged
+        factors such as x3^40, so callers can report them.
         """
         acc: dict[Monomial, Fraction] = {}
-        vanished: list[Monomial] = []
+        vanished: list[str] = []
         for coeff, factors in raw:
             factors = tuple(factors)
             canon = canonicalize(factors)
             if canon is None:
-                # keep a displayable record of the dead word
                 merged: dict[Generator, int] = {}
                 for g, e in factors:
                     merged[g] = merged.get(g, 0) + e
-                dead = tuple(sorted(merged.items(), key=lambda fe: fe[0].sort_key))
-                vanished.append(Monomial(dead))
+                vanished.append(_word(sorted(merged.items(), key=lambda fe: fe[0].sort_key)))
                 continue
             sign, mono = canon
             c = acc.get(mono, ZERO) + sign * Q(coeff)

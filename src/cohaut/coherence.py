@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .algebra import Generator, Polynomial, Q, poincare_series
+from .algebra import Generator, Monomial, Polynomial, Q, poincare_series
 from .cohomology import CohomologyClass, class_of, solve_coboundary
-from .model import CochainMorphism, SullivanModel, _extend
+from .model import CochainMorphism, SullivanModel, _ImagePowers
 
 
 class ShapeError(ValueError):
@@ -100,13 +100,13 @@ class GradedLinearMap:
         mat = self.blocks.get(g.degree)
         if mat is None:
             return Polynomial.zero()
-        src = self.source.gens_of_degree(g.degree)
-        j = src.index(g)
-        out = Polynomial.zero()
-        for i, w in enumerate(self.target.gens_of_degree(g.degree)):
-            if mat[i][j]:
-                out = out + mat[i][j] * Polynomial.generator(w)
-        return out
+        j = self.source.gens_of_degree(g.degree).index(g)
+        return Polynomial(
+            {
+                Monomial(((w, 1),)): mat[i][j]
+                for i, w in enumerate(self.target.gens_of_degree(g.degree))
+            }
+        )
 
     def diagonal_entries(self) -> dict[int, Fraction]:
         """Per-degree scalars (for diagonal source/target); zero when absent."""
@@ -194,15 +194,20 @@ def try_lift(xi: GradedLinearMap) -> LiftResult:
     Processes generators by ascending degree.  At each generator v the
     correction u solves d'(u) = θ(d v) - d'(ξ v) inside the target truncation
     below |v|; inconsistency yields the obstruction class in
-    H^{|v|+1}(ΛW^{<=|v|-1}).
+    H^{|v|+1}(ΛW^{<=|v|-1}).  One table of image powers serves every stage:
+    d(v) involves only generators of lower degree, whose images are final.
+    Raises ModelError when either model fails validation.
     """
     source, target = xi.source, xi.target
+    source.require_valid()
+    target.require_valid()
     images: dict[str, Polynomial] = {}
+    theta = _ImagePowers(source, target, images)
     for v in source.generators:
         n1 = v.degree
         xi_v = xi.apply_gen(v)
         dv = source.differential(v)
-        rhs = _extend(source, target, images, dv) - target.d(xi_v)
+        rhs = theta(dv) - target.d(xi_v)
         if rhs.is_zero():
             u = Polynomial.zero()
         else:
@@ -252,12 +257,12 @@ def invert_coherent(
         inv_blocks[d] = inv
     inv_xi = GradedLinearMap(xi.target, xi.source, inv_blocks)
     inv_images: dict[str, Polynomial] = {}
+    inv_theta = _ImagePowers(xi.target, xi.source, inv_images)
     for w in xi.target.generators:
         lin = inv_xi.apply_gen(w)  # ξ^{-1}(w) in the source generators
         junk = theta.apply(lin) - Polynomial.generator(w)  # decomposable, lower gens
-        inv_images[w.name] = lin - _extend(xi.target, xi.source, inv_images, junk)
-    inv_theta = CochainMorphism(xi.target, xi.source, inv_images)
-    return inv_xi, inv_theta
+        inv_images[w.name] = lin - inv_theta(junk)
+    return inv_xi, CochainMorphism(xi.target, xi.source, inv_images)
 
 
 @dataclass(frozen=True)

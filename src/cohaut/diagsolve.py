@@ -138,7 +138,10 @@ def _extract(
     """One walk over d(v) in A and the matching d(w) in B (same degree): the
     equations (coefficient c^A_M / c^B_M on each shared monomial M), the zero
     forcers (M on one side only), and the generators v of A whose monomials
-    are dependent modulo the coboundaries of ΛB^{≤|v|-1}."""
+    are dependent modulo the coboundaries of ΛB^{≤|v|-1}.  Raises ModelError
+    when either model fails validation."""
+    a.require_valid()
+    b.require_valid()
     b_by_degree = {g.degree: g for g in b.generators}
     equations: list[Equation] = []
     forcers: list[ZeroForcer] = []

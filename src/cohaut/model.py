@@ -63,7 +63,9 @@ class ValidationReport:
 class SullivanModel:
     """The pair (ΛV, d): free graded-commutative algebra with differential."""
 
-    __slots__ = ("generators", "label", "warnings", "_diff", "_by_name", "_key", "_hash", "_view")
+    __slots__ = (
+        "generators", "label", "warnings", "_diff", "_by_name", "_key", "_hash", "_view", "_report",
+    )
 
     def __init__(
         self,
@@ -96,6 +98,7 @@ class SullivanModel:
         )
         self._hash = hash(self._key)
         self._view: _CodedModel | None = None
+        self._report: ValidationReport | None = None
 
     # -- identity ------------------------------------------------------------
 
@@ -160,7 +163,7 @@ class SullivanModel:
         acc: dict[Coded, Fraction] = {}
         for mono, coeff in p.terms():
             _add_scaled(acc, coeff, view.d_coded(view.encode(mono)))
-        return Polynomial({view.decode(m): c for m, c in acc.items()})
+        return view.decode_poly(acc)
 
     # -- construction helpers --------------------------------------------------
 
@@ -191,6 +194,14 @@ class SullivanModel:
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """The report of every validation check, computed once per model (the
+        model is immutable, so callers that validate on each call pay once)."""
+        report = self._report
+        if report is None:
+            report = self._report = self._validate()
+        return report
+
+    def _validate(self) -> ValidationReport:
         checks: list[CheckResult] = []
         bad = [g for g in self.generators if g.degree < 2]
         checks.append(
@@ -265,6 +276,9 @@ class _CodedModel:
 
     def decode(self, coded: Coded) -> Monomial:
         return _decode(self.gens, coded)
+
+    def decode_poly(self, p: Mapping[Coded, Fraction]) -> Polynomial:
+        return Polynomial({_decode(self.gens, m): c for m, c in p.items()})
 
     def d_coded(self, mono: Coded) -> dict[Coded, Fraction]:
         """Coded Leibniz differential of a coded monomial.  The term of g in
@@ -362,9 +376,9 @@ def _add_tower_term(
     raw.append((Q(1), ((new_gen, exponent),)))
     dz, vanished = Polynomial.from_raw_terms(raw)
     warnings = list(m.warnings)
-    for mono in vanished:
+    for word in vanished:
         warnings.append(
-            f"term {mono} in d({z.name}) normalized to zero (odd generator power)"
+            f"term {word} in d({z.name}) normalized to zero (odd generator power)"
         )
     diff = {g.name: m.differential(g) for g in m.generators if m.differential(g)}
     diff[z.name] = dz
@@ -382,10 +396,13 @@ class CochainMorphism:
     """Algebra morphism determined by generator images, commuting with d.
 
     The defining identities (degree preservation and d-commutation on every
-    generator) are verified at construction time, never assumed.
+    generator) are verified at construction time, never assumed.  The
+    morphism evaluates θ from its own table of image powers (`_ImagePowers`),
+    built from the images it was given: the check d'(θ g) = θ(d g) reads it,
+    and so does every later `apply`.
     """
 
-    __slots__ = ("source", "target", "images")
+    __slots__ = ("source", "target", "images", "_theta")
 
     def __init__(
         self,
@@ -407,22 +424,29 @@ class CochainMorphism:
         if extra:
             raise MorphismError(f"images given for unknown generators {sorted(extra)}")
         self.images = imgs
-        for g in source.generators:
+        theta = self._theta = _ImagePowers(source, target, imgs)
+        tgt = target._coded
+        for i, g in enumerate(source.generators):
+            lhs: dict[Coded, Fraction] = {}
             try:
-                lhs = target.d(imgs[g.name])
+                for w, c in theta.power(i, 1).items():
+                    _add_scaled(lhs, c, tgt.d_coded(w))
             except ModelError as exc:
                 raise MorphismError(f"image of {g.name}: {exc}") from None
-            rhs = self.apply(source.differential(g))
+            try:
+                rhs = theta.coded(source.differential(g))
+            except ModelError as exc:
+                raise MorphismError(str(exc)) from None
             if lhs != rhs:
                 raise MorphismError(
                     f"not a cochain morphism: d(f({g.name})) != f(d({g.name})) "
-                    f"({lhs} != {rhs})"
+                    f"({tgt.decode_poly(lhs)} != {tgt.decode_poly(rhs)})"
                 )
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Multiplicative extension to arbitrary polynomials."""
         try:
-            return _extend(self.source, self.target, self.images, p)
+            return self._theta(p)
         except ModelError as exc:
             raise MorphismError(str(exc)) from None
 
@@ -446,34 +470,80 @@ class CochainMorphism:
         return f"CochainMorphism({self.source.label} -> {self.target.label})"
 
 
-def _extend(
-    source: SullivanModel,
-    target: SullivanModel,
-    images: Mapping[str, Polynomial],
-    p: Polynomial,
-) -> Polynomial:
-    """θ(p) for the algebra map θ: ΛV -> ΛW given by generator images.
+class _ImagePowers:
+    """θ: ΛV -> ΛW for the algebra map given by generator images, evaluated
+    from a table of coded images and their powers.
 
-    `images` maps names of source generators to target polynomials; a partial
-    table serves the stages of a lift, as long as p uses only its generators.
-    Each image is encoded once per call.
+    `images` maps names of source generators to target polynomials.  It may
+    be partial and may grow between calls, as it does over the stages of a
+    lift, as long as an image, once read, does not change.  Each entry
+    θ(x)^e of the table is computed once, on first use:
+    - a one-term image c·w gives c^e·w^e in closed form (the exponents of w
+      times e), which is 0 when w has an odd letter and e >= 2;
+    - any other image gives the cached θ(x)^{e-1} times θ(x).
+    θ of a word x1^e1···xk^ek is then the product of k table entries.
     """
-    src, tgt = source._coded, target._coded
-    odd = tgt.odd
-    coded: dict[int, dict[Coded, Fraction]] = {}
-    acc: dict[Coded, Fraction] = {}
-    for mono, coeff in p.terms():
-        word = src.encode(mono)
-        term = {(): ONE}
-        for pos in range(0, len(word), 2):
-            i = word[pos]
-            img = coded.get(i)
-            if img is None:
-                img = coded[i] = tgt.encode_poly(images[src.gens[i].name])
-            for _ in range(word[pos + 1]):
-                term = _mul_poly_coded(odd, term, img)
-        _add_scaled(acc, coeff, term)
-    return Polynomial({tgt.decode(m): c for m, c in acc.items()})
+
+    __slots__ = ("_src", "_tgt", "_images", "_powers")
+
+    def __init__(
+        self,
+        source: SullivanModel,
+        target: SullivanModel,
+        images: Mapping[str, Polynomial],
+    ):
+        self._src = source._coded
+        self._tgt = target._coded
+        self._images = images
+        self._powers: dict[tuple[int, int], dict[Coded, Fraction]] = {}
+
+    def power(self, i: int, e: int) -> dict[Coded, Fraction]:
+        """θ(x)^e, coded, for the source generator x of index i."""
+        powers = self._powers
+        out = powers.get((i, e))
+        if out is not None:
+            return out
+        img = powers.get((i, 1))
+        if img is None:
+            img = powers[(i, 1)] = self._tgt.encode_poly(self._images[self._src.gens[i].name])
+            if e == 1:
+                return img
+        odd = self._tgt.odd
+        if len(img) == 1:
+            ((w, c),) = img.items()
+            if any(odd[w[p]] for p in range(0, len(w), 2)):
+                out = {}
+            else:
+                out = {tuple(x * e if p % 2 else x for p, x in enumerate(w)): c**e}
+            powers[(i, e)] = out
+            return out
+        k = e - 1
+        while (i, k) not in powers:
+            k -= 1
+        out = powers[(i, k)]
+        for k in range(k + 1, e + 1):
+            out = powers[(i, k)] = _mul_poly_coded(odd, out, img)
+        return out
+
+    def coded(self, p: Polynomial) -> dict[Coded, Fraction]:
+        """θ(p) as a coded polynomial."""
+        src = self._src
+        odd = self._tgt.odd
+        acc: dict[Coded, Fraction] = {}
+        for mono, coeff in p.terms():
+            word = src.encode(mono)
+            term = _UNIT_TERM
+            for pos in range(0, len(word), 2):
+                f = self.power(word[pos], word[pos + 1])
+                term = f if term is _UNIT_TERM else _mul_poly_coded(odd, term, f)
+            _add_scaled(acc, coeff, term)
+        return acc
+
+    def __call__(self, p: Polynomial) -> Polynomial:
+        return self._tgt.decode_poly(self.coded(p))
+
+
+_UNIT_TERM: Mapping[Coded, Fraction] = {(): ONE}
 
 
 def identity(m: SullivanModel) -> CochainMorphism:

@@ -96,6 +96,21 @@ def test_canonicalize_sign_matches_bubble_sort_oracle(seq):
         assert got is not None and got[0] == expected
 
 
+def test_non_canonical_factor_tuples_are_rejected():
+    x, y, a, b = Generator("x", 2), Generator("y", 4), Generator("a", 3), Generator("b", 5)
+    for factors, what in (
+        (((y, 1), (x, 1)), "canonical order"),
+        (((x, 1), (x, 2)), "repeats"),
+        (((x, 0),), "exponent 0"),
+        (((x, -1), (y, 1)), "exponent -1"),
+        (((a, 2),), "exponent 2"),
+        (((x, 1), (b, 1), (a, 1)), "canonical order"),
+    ):
+        with pytest.raises(AlgebraError, match=what):
+            Monomial(factors)
+    assert Monomial(((x, 3), (a, 1), (y, 2), (b, 1))).degree == 22
+
+
 # --- multiply -------------------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from cohaut.coherence import (
     is_coherent,
     try_lift,
 )
-from cohaut.model import CochainMorphism, SullivanModel, compose, identity
+from cohaut.model import CochainMorphism, ModelError, SullivanModel, compose, identity
 from cohaut.whitehead import naturality_check
 
 P = Polynomial
@@ -204,3 +204,19 @@ def test_gap_report_example_31(V):
 def test_gap_report_unique_for_pure_even_model():
     m = SullivanModel([Generator("a", 10), Generator("b", 12)], {}, label="free")
     assert gap_report(m).all_unique
+
+
+# --- validated inputs ----------------------------------------------------------------
+
+
+def test_try_lift_refuses_a_model_that_fails_validation():
+    # d y = x^2 and d w = x y: d(d(w)) = x^3 != 0
+    x, y, w = Generator("x", 2), Generator("y", 3), Generator("w", 4)
+    dy = P.monomial(mono((x, 2)))
+    bad = SullivanModel([x, y, w], {"y": dy, "w": P.monomial(mono((x, 1), (y, 1)))}, label="bad")
+    good = SullivanModel([x, y, w], {"y": dy}, label="good")
+    assert good.validate().ok
+    ones = {2: 1, 3: 1, 4: 1}
+    for source, target in ((bad, bad), (good, bad), (bad, good)):
+        with pytest.raises(ModelError, match="bad fails validation"):
+            try_lift(GradedLinearMap.diagonal(source, ones, target=target))

@@ -19,7 +19,7 @@ from cohaut.diagsolve import (
     lift_verify,
     solve,
 )
-from cohaut.model import SullivanModel
+from cohaut.model import ModelError, SullivanModel
 
 P = Polynomial
 
@@ -357,3 +357,16 @@ def test_extraction_and_coboundary_lifts_build_no_window(monkeypatch, V, W):
     )
     assert try_lift(as_linear_map(extract_constraints(m), (Q(1), Q(1), Q(7)))).ok
     assert built == []
+
+
+def test_extraction_refuses_a_model_that_fails_validation():
+    # d y = x^2 and d w = x y: d(d(w)) = x^3 != 0
+    x, y, w = Generator("x", 2), Generator("y", 3), Generator("w", 4)
+    bad = SullivanModel(
+        [x, y, w], {"y": P.monomial(mono((x, 2))), "w": P.monomial(mono((x, 1), (y, 1)))}, label="bad"
+    )
+    with pytest.raises(ModelError, match="d ∘ d = 0"):
+        extract_constraints(bad)
+    good = SullivanModel([x, y, w], {"y": P.monomial(mono((x, 2)))}, label="good")
+    with pytest.raises(ModelError, match="bad fails validation"):
+        extract_cross_constraints(good, bad)

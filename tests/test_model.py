@@ -6,13 +6,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cohaut.algebra import Generator, Monomial, Polynomial, basis
+import cohaut.model as model_module
+from cohaut.algebra import (
+    ONE,
+    AlgebraError,
+    Generator,
+    Monomial,
+    Polynomial,
+    _mul_poly_coded,
+    basis,
+)
+from cohaut.coherence import GradedLinearMap, invert_coherent, try_lift
 from cohaut.cohomology import coboundary_matrix
+from cohaut.corpus import load_builtin
 from cohaut.model import (
     CochainMorphism,
     ModelError,
     MorphismError,
     SullivanModel,
+    _add_scaled,
+    _ImagePowers,
     compose,
     extend_tower,
     identity,
@@ -322,3 +335,206 @@ def test_restrict_gives_stage_morphism(V):
     g = f.restrict(45)
     assert g.source == V.truncate(45)
     assert set(g.images) == {"x1", "x2", "y1", "y2", "y3"}
+
+
+def test_morphism_check_catches_an_image_off_by_a_non_cocycle(V):
+    # y1 x1^3 x2^4 has degree 119 but d(y1 x1^3 x2^4) = x1^6 x2^5 != 0, so
+    # d(θ z) picks up that term while θ(d z) = d z does not
+    x1, x2, y1 = V.generator("x1"), V.generator("x2"), V.generator("y1")
+    off = P.monomial(mono((x1, 3), (x2, 4), (y1, 1)))
+    assert V.d(off)
+    images = {g.name: P.generator(g) for g in V.generators}
+    images["z"] = images["z"] + off
+    with pytest.raises(MorphismError, match=r"d\(f\(z\)\) != f\(d\(z\)\)"):
+        CochainMorphism(V, V, images)
+
+
+# --- evaluation from the table of image powers ---------------------------------------
+
+
+def _extend_reference(source, target, images, p):
+    """θ(p) by successive multiplication, image by image and letter by letter,
+    with each image encoded afresh: the evaluation the table of image powers
+    replaced, kept as its oracle."""
+    src, tgt = source._coded, target._coded
+    acc = {}
+    for mono_, coeff in p.terms():
+        word = src.encode(mono_)
+        term = {(): ONE}
+        for pos in range(0, len(word), 2):
+            img = tgt.encode_poly(images[src.gens[word[pos]].name])
+            for _ in range(word[pos + 1]):
+                term = _mul_poly_coded(tgt.odd, term, img)
+        _add_scaled(acc, coeff, term)
+    return Polynomial({tgt.decode(m): c for m, c in acc.items()})
+
+
+_COEFFS = (1, -1, 2, Q(1, 2), Q(-3, 4))
+
+
+def _odd_letter_model():
+    """a:3, b:5, x:8 with no differential: x -> 2ab is a one-term image with
+    odd letters, so θ(x^e) = 0 for e >= 2, and x -> x + ab a multi-term one."""
+    a, b, x = Generator("a", 3), Generator("b", 5), Generator("x", 8)
+    return SullivanModel([a, b, x], {}, label="odd-letters")
+
+
+def _polys(m, draws):
+    """Polynomials from (degree, index, coefficient index) draws: sums of up to
+    three basis monomials of one degree <= 16; then x^e for each even
+    generator x, with e as high as degree 24 allows, times each generator."""
+    tops = [P.monomial(mono((g, 24 // g.degree))) for g in m.generators if g.degree % 2 == 0]
+    out = tops + [t * P.generator(g) for t in tops for g in m.generators]
+    for terms in draws:
+        pool = m.basis(terms[0][0] % 17)
+        if pool:
+            picked = (P.monomial(pool[i % len(pool)], _COEFFS[c]) for _, i, c in terms)
+            out.append(sum(picked, P.zero()))
+    return out
+
+
+_TERM_DRAW = st.tuples(st.integers(0, 16), st.integers(0, 10**6), st.integers(0, 4))
+_POLY_DRAWS = st.lists(st.lists(_TERM_DRAW, min_size=1, max_size=3), min_size=1, max_size=6)
+
+
+@st.composite
+def _algebra_maps(draw):
+    """A random two-layer model m and images for an algebra map m -> m: each
+    image is c·x plus up to three basis monomials of its generator's degree,
+    with rational coefficients, so images are zero, one-term or multi-term."""
+    m = draw(_two_layer_models())
+    images = {}
+    for g in m.generators:
+        pool = m.basis(g.degree)
+        term = st.tuples(st.sampled_from(pool), st.sampled_from(_COEFFS))
+        picks = draw(st.lists(term, max_size=3))
+        linear = P.generator(g, draw(st.sampled_from((0,) + _COEFFS)))
+        images[g.name] = sum((P.monomial(mo, c) for mo, c in picks), linear)
+    return m, images
+
+
+_ODD = _odd_letter_model()
+_A, _B, _X = _ODD.generators
+_AB = P.monomial(mono((_A, 1), (_B, 1)))
+
+
+@settings(derandomize=True, deadline=timedelta(seconds=5), max_examples=80)
+@given(mi=_algebra_maps(), draws=_POLY_DRAWS)
+@example(
+    mi=(_ODD, {"a": P.generator(_A), "b": P.generator(_B), "x": 2 * _AB}),
+    draws=[[(8, 0, 0)], [(16, 0, 3)], [(11, 0, 0), (11, 1, 1)], [(16, 1, 1)]],
+)
+@example(
+    mi=(_ODD, {"a": P.generator(_A), "b": P.generator(_B), "x": P.generator(_X) - Q(1, 3) * _AB}),
+    draws=[[(16, 0, 0)], [(11, 0, 4)]],
+)
+def test_image_powers_agree_with_successive_multiplication(mi, draws):
+    m, images = mi
+    polys = _polys(m, draws)
+    # the whole table, as a morphism uses it
+    theta = _ImagePowers(m, m, images)
+    for p in polys:
+        assert theta(p) == _extend_reference(m, m, images, p), p
+    # a partial table that grows generator by generator, as a lift uses it
+    partial = {}
+    staged = _ImagePowers(m, m, partial)
+    for g in m.generators:
+        partial[g.name] = images[g.name]
+        for p in polys:
+            if all(f.name in partial for mo in p.monomials() for f, _ in mo.factors):
+                assert staged(p) == _extend_reference(m, m, partial, p), (g, p)
+
+
+@settings(derandomize=True, deadline=timedelta(seconds=5), max_examples=60)
+@given(
+    m=_two_layer_models(),
+    scalars=st.lists(st.sampled_from((1, -1, 2, Q(1, 2))), min_size=20, max_size=20),
+    draws=_POLY_DRAWS,
+)
+def test_lifted_morphisms_compose_and_invert_like_the_reference(m, scalars, draws):
+    degrees = sorted({g.degree for g in m.generators})
+    blocks = {}
+    for d, s in zip(degrees, scalars):
+        n = len(m.gens_of_degree(d))
+        blocks[d] = [[s if i == j else 0 for j in range(n)] for i in range(n)]
+    xi = GradedLinearMap(m, m, blocks)
+    lift = try_lift(xi)
+    if not lift.ok:
+        return
+    theta = lift.morphism
+    for p in _polys(m, draws):
+        assert theta.apply(p) == _extend_reference(m, m, theta.images, p), p
+    inv_xi, inv = invert_coherent(xi, theta)
+    for f, g in ((theta, inv), (inv, theta), (theta, theta)):
+        fg = compose(f, g)
+        for name, img in g.images.items():
+            assert fg.images[name] == _extend_reference(m, m, f.images, img)
+    assert compose(theta, inv) == identity(m)
+    assert compose(inv, theta) == identity(m)
+
+
+def test_a_u8_lift_fills_each_power_once(monkeypatch):
+    """Every (generator, exponent) entry of a table is written at most once,
+    over all stages of a lift and the morphism check that ends it."""
+
+    class WriteOnce(dict):
+        def __setitem__(self, key, value):
+            assert key not in self, f"table entry {key} computed twice"
+            super().__setitem__(key, value)
+
+    tables = []
+    init = _ImagePowers.__init__
+
+    def spy_init(self, *args):
+        init(self, *args)
+        self._powers = WriteOnce()
+        tables.append(self._powers)
+
+    monkeypatch.setattr(_ImagePowers, "__init__", spy_init)
+    u8 = load_builtin("U8")
+    signs = {g.degree: (-1 if g.degree in (2, 12, 41, 45) else 1) for g in u8.generators}
+    assert try_lift(GradedLinearMap.diagonal(u8, signs)).ok
+    assert len(tables) == 2  # the lift's table and the morphism's own
+    # d(z) holds x0^60, x4^30, x1^12 ...: the high powers come from the table
+    assert max(e for table in tables for _, e in table) >= 60
+
+
+def test_a_power_is_multiplied_out_once_per_table(monkeypatch):
+    x, w = Generator("x", 2), Generator("w", 4)
+    m = SullivanModel([x, w], {}, label="free2")
+    images = {"x": P.generator(x), "w": P.generator(w) + P.monomial(mono((x, 2)), Q(1, 2))}
+    theta = CochainMorphism(m, m, images)
+    calls = []
+
+    def spy(odd, a, b):
+        calls.append(1)
+        return _mul_poly_coded(odd, a, b)
+
+    monkeypatch.setattr(model_module, "_mul_poly_coded", spy)
+    w10 = P.monomial(mono((w, 10)))
+    first = theta.apply(w10)
+    assert len(calls) == 9  # (w, 2) .. (w, 10), each from the entry below it
+    assert theta.apply(w10) == first and len(calls) == 9
+    assert first == _extend_reference(m, m, theta.images, w10)
+
+
+# --- canonical monomials ---------------------------------------------------------------
+
+
+def test_unsorted_monomial_cannot_enter_a_differential():
+    """x:2, a:3, w:5, b:8, c:9 with d a = x^2, d b = x^2 w and d c = b x - a w x:
+    written with the unsorted word b*x, d(c) used to be stored as given and
+    failed d∘d = 0; now the word is refused, and the sorted model validates."""
+    x, a, w, b, c = (Generator(n, d) for n, d in (("x", 2), ("a", 3), ("w", 5), ("b", 8), ("c", 9)))
+    with pytest.raises(AlgebraError, match="canonical order"):
+        P.monomial(Monomial(((b, 1), (x, 1)))) - P.monomial(Monomial(((a, 1), (w, 1), (x, 1))))
+    diff = {
+        "a": P.monomial(mono((x, 2))),
+        "b": P.monomial(mono((x, 2), (w, 1))),
+        "c": P.monomial(mono((x, 1), (b, 1))) - P.monomial(mono((x, 1), (a, 1), (w, 1))),
+    }
+    assert SullivanModel([x, a, w, b, c], diff, label="sorted").validate().ok
+
+
+def test_validation_report_is_kept_on_the_model(V):
+    assert V.validate() is V.validate()
