@@ -207,7 +207,12 @@ def try_lift(xi: GradedLinearMap) -> LiftResult:
         n1 = v.degree
         xi_v = xi.apply_gen(v)
         dv = source.differential(v)
-        rhs = theta(dv) - target.d(xi_v)
+        # ξv is linear, so d'(ξv) = Σ c·d'(w) from the stored differentials
+        d_xi_v = sum(
+            (c * target.differential(w.linear_generator()) for w, c in xi_v.terms()),
+            Polynomial.zero(),
+        )
+        rhs = theta(dv) - d_xi_v
         if rhs.is_zero():
             u = Polynomial.zero()
         else:

@@ -7,18 +7,18 @@ by a differential), so they are their own cohomology classes; the remaining
 active monomials fall into small components on which dense exact elimination
 is cheap.  Dimensions need only the two boundary ranks per component, so the
 kernel and representative data are computed lazily, on first access.  Classes
-are numbered by ascending anchor (an inert monomial, or a block's smallest
+are numbered by anchor in basis order (an inert monomial, or a block's first
 degree-k member followed by the block's echelon classes); each window finds
-them in one sorted anchor table with `bisect`.
+them in one anchor table with `bisect`.
 
 Monomials are packed exponent vectors (`algebra._Packing`): one int each,
 generator 0 most significant, so descending int order is basis order and a
-product is an integer sum.  A coboundary column names the packed monomials it
-hits, so ranks need no positions.  Positions are class coordinates and belong
-to windows: a window enumerates and indexes its degree-k basis once, for its
-class layout, and the incoming columns and class queries read that index.
-Degree-(k-1) monomials keep their packed ints, so no window enumerates
-basis(k-1).
+product is an integer sum.  The packed int is the only name of a monomial: a
+coboundary column names the packed monomials it hits, and a window's blocks,
+anchors and class queries name degree-k monomials the same way, so nothing
+keeps a basis position.  Positions are class coordinates only.  A window
+enumerates its degree-k basis once, in basis order, to lay out its inert
+classes, and no window enumerates basis(k-1).
 
 Every column comes from a template.  A generator is closed when d of it is 0
 and active otherwise.  A monomial with an active factor is P·A, with P a
@@ -65,7 +65,7 @@ therefore derived from ΛV's window at k (`CohomologyBasis.below`): blocks with
 every member in ΛV^{<=c} carry over unchanged, and only blocks touching a
 dropped monomial are split again over their kept members.  The result is the
 window the truncation's own complex would build, class for class; it keeps
-ΛV's complex and position index and enters no cache.
+ΛV's complex and packing and enters no cache.
 
 Questions about a few degree-k monomials (`residues_independent`,
 `solve_coboundary`) are answered on their local block, not on a window.  The
@@ -91,6 +91,7 @@ semantics, so concurrent readers are safe.
 from __future__ import annotations
 
 import bisect
+import operator
 import threading
 from collections import OrderedDict
 from fractions import Fraction
@@ -316,9 +317,8 @@ class _Component:
     )
 
     def __init__(self, members_km1, members_k, cols_km1, cols_k):
-        # rows_k is sorted, so bisect_left(rows_k, g) is the local row of g
         self.cols_km1 = sorted(members_km1)
-        self.rows_k = rows = sorted(members_k)
+        self.rows_k = rows = sorted(members_k, reverse=True)  # basis order
         self._cols_km1_src = cols_km1
         self._cols_k_src = cols_k
         n = len(rows)
@@ -326,7 +326,7 @@ class _Component:
         for c in self.cols_km1:
             v = [_Q0] * n
             for r, val in cols_km1[c]:
-                v[bisect.bisect_left(rows, r)] = val
+                v[self.row(r)] = val
             img_vecs.append(v)
         red, self.img_pivots, rk = linalg.rref(img_vecs)
         self.img_rows = red[:rk]
@@ -339,6 +339,10 @@ class _Component:
         self._h_rows = None
         self._h_pivots = None
 
+    def row(self, mono: int) -> int:
+        """Local row of the packed degree-k member `mono` (rows_k descends)."""
+        return bisect.bisect_left(self.rows_k, -mono, key=operator.neg)
+
     def _outgoing_matrix(self):
         """Dense matrix of the outgoing differential, rows = hit monomials at
         k+1, columns = this block's degree-k monomials (only nonzero ones)."""
@@ -350,7 +354,7 @@ class _Component:
             for r, _ in col:
                 if r not in up_rows:
                     up_rows[r] = len(up_rows)
-            entries.append((bisect.bisect_left(self.rows_k, g), col))
+            entries.append((self.row(g), col))
         if not up_rows:
             return []
         mat = [[_Q0] * len(self.rows_k) for _ in range(len(up_rows))]
@@ -432,8 +436,8 @@ def _blocks(*maps) -> list[list[tuple]]:
 
 def _components(cols_km1, cols_k) -> list[_Component]:
     """The connected blocks of a window, from its coboundary columns
-    degree k-1 -> k and k -> k+1 (level 0 = degree k-1), in ascending order
-    of the smallest degree-k member.  Blocks living entirely at k-1/k+1
+    degree k-1 -> k and k -> k+1 (level 0 = degree k-1), in basis order of
+    their first degree-k member.  Blocks living entirely at k-1/k+1
     contribute nothing and are dropped."""
     comps = []
     for members in _blocks(cols_km1, cols_k):
@@ -442,7 +446,7 @@ def _components(cols_km1, cols_k) -> list[_Component]:
             comps.append(
                 _Component([m for d, m in members if d == 0], mk, cols_km1, cols_k)
             )
-    comps.sort(key=lambda comp: comp.rows_k[0])
+    comps.sort(key=lambda comp: comp.rows_k[0], reverse=True)
     return comps
 
 
@@ -469,33 +473,29 @@ def _coboundary_rank(cols: dict[int, list[tuple[int, Fraction]]]) -> int:
 class _Window:
     """Cohomology data of one model at one degree k (uses degrees k-1..k+1).
 
-    Monomials are packed in `packing`, that of degree k+1 (see `_Complex`).
-    A degree-k monomial is named by its position in `cx.basis(k)`, and
-    `index` maps each packed degree-k monomial to its own; degree-(k-1) and
-    degree-(k+1) monomials are named by their packed ints.  A window derived
-    by `below` keeps the parent's complex and index; its degree-k basis is
-    the subsequence `indices_k` of the parent's.
+    Monomials are named by their packed ints in `packing`, that of degree
+    k+1 (see `_Complex`), at every degree k-1..k+1.  A window derived by
+    `below` keeps the parent's complex and packing; its degree-k basis is a
+    subsequence of the parent's.
 
-    The class layout is the sorted table `anchors`: anchor j is an inert
-    monomial (`owners[j] == -1`, one class) or the smallest degree-k member
-    of block `owners[j]` (`dim_h` classes), and its classes start at position
-    `starts[j]`.
+    The class layout is the table `anchors`, in basis order (descending):
+    anchor j is an inert monomial (`owners[j] == -1`, one class) or the first
+    degree-k member of block `owners[j]` (`dim_h` classes), and its classes
+    start at position `starts[j]`.
     """
 
-    def __init__(self, cx: _Complex, k: int, components: list[_Component], index, indices_k):
+    def __init__(self, cx: _Complex, k: int, components: list[_Component], basis_k):
         self.cx = cx
         self.degree = k
         self.packing = cx.packing(k + 1)
-        self.index: dict[int, int] = index
         self.components = components
         self.comp_of_k: dict[int, int] = {}
         for cid, comp in enumerate(components):
             for m in comp.rows_k:
                 self.comp_of_k[m] = cid
         active = self.comp_of_k
-        table = [(comp.rows_k[0], cid) for cid, comp in enumerate(components) if comp.dim_h]
-        table.extend((i, -1) for i in indices_k if i not in active)
-        table.sort()
+        heads = {comp.rows_k[0]: cid for cid, comp in enumerate(components) if comp.dim_h}
+        table = [(m, heads.get(m, -1)) for m in basis_k if m in heads or m not in active]
         self.anchors = [anchor for anchor, _ in table]
         self.owners = [cid for _, cid in table]
         self.starts: list[int] = []
@@ -507,14 +507,8 @@ class _Window:
 
     @classmethod
     def build(cls, cx: _Complex, k: int) -> "_Window":
-        basis = cx.basis(k)
-        index = dict(zip(basis, range(len(basis))))
-        cols_km1 = {
-            c: [(index[m], v) for m, v in col]
-            for c, col in cx.columns(k - 1, cx.packing(k + 1)).items()
-        }
-        cols_k = {index[c]: col for c, col in cx.columns(k).items()}
-        return cls(cx, k, _components(cols_km1, cols_k), index, range(len(basis)))
+        comps = _components(cx.columns(k - 1, cx.packing(k + 1)), cx.columns(k))
+        return cls(cx, k, comps, cx.basis(k))
 
     def below(self, cut: int) -> "_Window":
         """The window of the truncation ΛV^{<=cut} at the same degree.
@@ -538,12 +532,11 @@ class _Window:
         if p == len(degs) or degs[p] > self.degree + 1:
             return self
         dropped = self.packing.low(p)
-        basis_k = cx.basis(self.degree)
         comps: list[_Component] = []
         sub_km1: dict[int, list[tuple[int, Fraction]]] = {}
         sub_k: dict[int, list[tuple[int, Fraction]]] = {}
         for comp in self.components:
-            if not any(basis_k[g] & dropped for g in comp.rows_k) and not any(
+            if not any(g & dropped for g in comp.rows_k) and not any(
                 c & dropped for c in comp.cols_km1
             ):
                 comps.append(comp)
@@ -553,18 +546,18 @@ class _Window:
                 if not c & dropped:
                     sub_km1[c] = comp._cols_km1_src[c]
             for g in comp.cols_k_members:
-                if not basis_k[g] & dropped:
+                if not g & dropped:
                     sub_k[g] = comp._cols_k_src[g]
         comps.extend(_components(sub_km1, sub_k))
-        comps.sort(key=lambda comp: comp.rows_k[0])
-        kept_k = [i for i, mono in enumerate(basis_k) if not mono & dropped]
-        return _Window(cx, self.degree, comps, self.index, kept_k)
+        comps.sort(key=lambda comp: comp.rows_k[0], reverse=True)
+        kept_k = (m for m in cx.basis(self.degree) if not m & dropped)
+        return _Window(cx, self.degree, comps, kept_k)
 
     # -- queries ----------------------------------------------------------------
 
     def _start(self, anchor: int) -> int:
         """First class position of an anchor."""
-        return self.starts[bisect.bisect_left(self.anchors, anchor)]
+        return self.starts[bisect.bisect_left(self.anchors, -anchor, key=operator.neg)]
 
     def class_of_vec(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         """Class coordinates (sparse, by class position) of a cocycle vector:
@@ -572,16 +565,16 @@ class _Window:
         per component."""
         out: dict[int, Fraction] = {}
         parts: dict[int, list[Fraction]] = {}
-        for idx, val in vec.items():
-            cid = self.comp_of_k.get(idx)
+        for mono, val in vec.items():
+            cid = self.comp_of_k.get(mono)
             if cid is None:
-                out[self._start(idx)] = val
+                out[self._start(mono)] = val
                 continue
             comp = self.components[cid]
             v = parts.get(cid)
             if v is None:
                 v = parts[cid] = [_Q0] * len(comp.rows_k)
-            v[bisect.bisect_left(comp.rows_k, idx)] = val
+            v[comp.row(mono)] = val
         for cid, v in sorted(parts.items()):
             comp = self.components[cid]
             for local_no, coord in enumerate(comp.class_coords(v)):
@@ -592,12 +585,11 @@ class _Window:
     def classes_containing(self, mono: int) -> dict[int, Fraction]:
         """{class position: coefficient of the packed degree-k monomial
         `mono` in that class's representative}."""
-        idx = self.index[mono]
-        cid = self.comp_of_k.get(idx)
+        cid = self.comp_of_k.get(mono)
         if cid is None:
-            return {self._start(idx): _Q1}
+            return {self._start(mono): _Q1}
         comp = self.components[cid]
-        loc = bisect.bisect_left(comp.rows_k, idx)
+        loc = comp.row(mono)
         return {
             self._start(comp.rows_k[0]) + local_no: row[loc]
             for local_no, row in enumerate(comp.h_rows)
@@ -626,9 +618,10 @@ class CohomologyBasis:
     """Basis of H^k(model): deterministic representatives and coordinates.
 
     Polynomials are coded with the model's own view, so a generator outside
-    the model raises ModelError, and packed in the window's packing;
-    positions are looked up in the window's index, which for a basis from
-    `below` is the parent's (the codes agree on the generator prefix).
+    the model raises ModelError, and packed in the window's packing, which
+    for a basis from `below` is the parent's (the codes agree on the
+    generator prefix).  Positions are class coordinates: class i is the i-th
+    in the window's layout.
     """
 
     __slots__ = ("model", "degree", "dimension", "_window")
@@ -653,11 +646,9 @@ class CohomologyBasis:
 
     def representative(self, i: int) -> Polynomial:
         window = self._window
-        vec = window.representative_vec(i)
-        b = window.cx.basis(self.degree)
         decode = window.cx.view.decode
         unpack = window.packing.unpack
-        return Polynomial({decode(unpack(b[idx])): c for idx, c in vec.items()})
+        return Polynomial({decode(unpack(m)): c for m, c in window.representative_vec(i).items()})
 
     def representatives(self) -> list[Polynomial]:
         return [self.representative(i) for i in range(self.dimension)]
@@ -670,10 +661,9 @@ class CohomologyBasis:
         dp = self.model.d(p)
         if dp:
             raise NotACocycle(f"d(p) = {dp} != 0")
-        index = self._window.index
         encode = self.model._coded.encode
         pack = self._window.packing.pack
-        vec = {index[pack(encode(m))]: c for m, c in p.terms()}
+        vec = {pack(encode(m)): c for m, c in p.terms()}
         return CohomologyClass(self, self._window.class_of_vec(vec))
 
     def linear_parts(self) -> dict[int, dict[str, Fraction]]:

@@ -229,8 +229,8 @@ class SullivanModel:
         dd_bad = []
         for g in self.generators:
             dg = self._diff.get(g.name)
-            if dg and self.d(dg):
-                dd_bad.append(f"d(d({g.name})) = {self.d(dg)}")
+            if dg and (ddg := self.d(dg)):
+                dd_bad.append(f"d(d({g.name})) = {ddg}")
         checks.append(CheckResult("d ∘ d = 0 on generators", not dd_bad, "; ".join(dd_bad)))
         return ValidationReport(self.label, tuple(checks), self.warnings)
 

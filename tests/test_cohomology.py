@@ -418,17 +418,16 @@ def _window_residues_independent(m, k, monos):
     reduced by the image rows of its component, then one sparse rank."""
     cx = complex_for(m)
     win = cx.window(k)
-    index = win.index
     residues = []
     for mo in monos:
-        i = index[win.packing.pack(cx.view.encode(mo))]
-        cid = win.comp_of_k.get(i)
+        packed = win.packing.pack(cx.view.encode(mo))
+        cid = win.comp_of_k.get(packed)
         if cid is None:
-            residues.append({i: Q(1)})
+            residues.append({packed: Q(1)})
             continue
         comp = win.components[cid]
         v = [Q(0)] * len(comp.rows_k)
-        v[comp.rows_k.index(i)] = Q(1)
+        v[comp.rows_k.index(packed)] = Q(1)
         red = comp._reduce_by_image(v)
         residues.append({comp.rows_k[j]: x for j, x in enumerate(red) if x})
     return linalg.sparse_rank(residues) == len(monos)
@@ -476,10 +475,10 @@ def _draw_pools(label, k):
 
     m = load_builtin(label)
     cx = complex_for(m)
-    basis = cx.basis(k)
-    active = sorted(i for c in cx.window(k).components for i in c.rows_k)
+    # descending packed ints are basis order
+    active = sorted((g for c in cx.window(k).components for g in c.rows_k), reverse=True)
     unpack, decode = cx.packing(k + 1).unpack, cx.view.decode
-    return m, [decode(unpack(b)) for b in basis], [decode(unpack(basis[i])) for i in active]
+    return m, [decode(unpack(b)) for b in cx.basis(k)], [decode(unpack(g)) for g in active]
 
 
 @settings(derandomize=True, deadline=timedelta(seconds=5), max_examples=150)
@@ -694,6 +693,11 @@ def test_class_positions_round_trip_through_the_anchor_table(label, k, cut):
     win = h._window
     interleaved = len({cid < 0 for cid in win.owners}) == 2
     assert interleaved or any(c.dim_h > 1 for c in win.components) or h.linear_parts()
+    # anchors are packed degree-k monomials in basis order
+    decode, unpack = win.cx.view.decode, win.packing.unpack
+    assert all(a > b for a, b in zip(win.anchors, win.anchors[1:]))
+    in_order = iter(h.model.basis(k))
+    assert all(decode(unpack(a)) in in_order for a in win.anchors)
     _assert_layout_round_trips(h)
 
 
@@ -717,17 +721,19 @@ def test_representative_rejects_positions_outside_the_layout(V):
 
 
 @pytest.mark.parametrize("label, k, cut", [("V-ex31", 43, 42), ("W-ex32", 120, 118), ("U3", 69, 43)])
-def test_the_window_holds_the_only_position_index(label, k, cut):
-    # columns name the packed degree-(k+1) monomials they hit; positions of
-    # degree-k monomials live on the window, and a derived window shares them
+def test_windows_name_monomials_by_packed_ints(label, k, cut):
+    # columns name the packed degree-(k+1) monomials they hit, and blocks the
+    # packed degree-k ones; no window, built or derived, keeps a position index
     m = load_builtin(label)
     cx = cohomology_module._Complex(m)
     unpack, decode = cx.packing(k + 1).unpack, cx.view.decode
     for mono_, _ in (row for col in cx.columns(k).values() for row in col):
         assert decode(unpack(mono_)).degree == k + 1
     win = cx.window(k)
-    assert win.index == {mono_: i for i, mono_ in enumerate(cx.basis(k))}
-    assert [decode(unpack(mono_)) for mono_ in win.index] == list(m.basis(k))
     derived = win.below(cut)
-    assert derived is not win and derived.index is win.index
+    assert derived is not win
+    basis = set(cx.basis(k))
+    for w in (win, derived):
+        assert not hasattr(w, "index")
+        assert all(g in basis for c in w.components for g in c.rows_k)
     assert not hasattr(cx, "index") and not hasattr(cx, "_indexes")

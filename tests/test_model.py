@@ -74,19 +74,38 @@ def test_minimality_check_fails_for_linear_differential():
     assert "minimality (differential decomposable)" in failed
 
 
-def test_d_squared_check_fails_when_violated():
+def _not_closed():
     x = Generator("x", 2)
     y = Generator("y", 3)
     w = Generator("w", 4)
     # d(y) = x^2, d(w) = x y: then d(d(w)) = x * x^2 != 0
-    m = SullivanModel(
+    return SullivanModel(
         [x, y, w],
         {"y": P.monomial(mono((x, 2))), "w": P.monomial(mono((x, 1), (y, 1)))},
         label="not-closed",
     )
-    report = m.validate()
+
+
+def test_d_squared_check_fails_when_violated():
+    report = _not_closed().validate()
     failed = [c.name for c in report.checks if not c.ok]
     assert "d ∘ d = 0 on generators" in failed
+
+
+def test_d_squared_check_expands_each_differential_once(monkeypatch):
+    # the failure message reuses the d(d(w)) that failed the test
+    m = _not_closed()
+    calls = []
+    d = SullivanModel.d
+
+    def spy(self, p):
+        calls.append(p)
+        return d(self, p)
+
+    monkeypatch.setattr(SullivanModel, "d", spy)
+    check = next(c for c in m.validate().checks if c.name == "d ∘ d = 0 on generators")
+    assert not check.ok and check.detail == "d(d(w)) = x^3"
+    assert calls == [m.differential("y"), m.differential("w")]
 
 
 def test_u1_as_written_validates_with_vanished_term_warning(U1):
