@@ -125,18 +125,16 @@ def canonicalize(
     for g, e in items:
         if e < 1:
             raise AlgebraError(f"exponent {e} < 1 for generator {g.name}")
-    gens = _sorted_gens({g for g, _ in items})
-    index = {g: i for i, g in enumerate(gens)}
-    odd = tuple(g.is_odd for g in gens)
-    sign, word = 1, ()
+    pk = _Packing(_sorted_gens({g for g, _ in items}), sum(g.degree * e for g, e in items))
+    sign, word = 1, 0
     for g, e in items:
-        if g.is_odd and e >= 2:
+        letter = e << pk.shifts[pk.index[g]]
+        if g.is_odd and e >= 2 or word & letter & pk.odd:
             return None
-        s, word = _mul_coded(odd, word, (index[g], e))
-        if not s:
-            return None
-        sign *= s
-    return sign, _decode(gens, word)
+        if (word & pk.koszul(letter)).bit_count() & 1:
+            sign = -sign
+        word += letter
+    return sign, pk.monomial(word)
 
 
 class Polynomial:
@@ -294,120 +292,52 @@ class Polynomial:
 
 def multiply(a: Polynomial, b: Polynomial) -> Polynomial:
     """Graded-commutative product (bilinear, Koszul signs)."""
-    gens = _sorted_gens({g for p in (a, b) for m in p._terms for g, _ in m.factors})
-    index = {g: i for i, g in enumerate(gens)}
-    odd = tuple(g.is_odd for g in gens)
-    ca, cb = ({_encode(index, m): c for m, c in p._terms.items()} for p in (a, b))
-    prod = _mul_poly_coded(odd, ca, cb)
-    return Polynomial({_decode(gens, m): c for m, c in prod.items()})
+    if not a or not b:
+        return Polynomial()
+    pk = _Packing(
+        _sorted_gens({g for p in (a, b) for m in p._terms for g, _ in m.factors}),
+        max(m.degree for m in a._terms) + max(m.degree for m in b._terms),
+    )
+    pa, pb = ({pk.packed(m): c for m, c in p._terms.items()} for p in (a, b))
+    return Polynomial({pk.monomial(m): c for m, c in _mul_poly(pk, pa, pb).items()})
 
 
 def _sorted_gens(generators: Iterable[Generator]) -> tuple[Generator, ...]:
     return tuple(sorted(generators, key=lambda g: g.sort_key))
 
 
-# --- the coded kernel ---------------------------------------------------------
+# --- the packed kernel --------------------------------------------------------
 #
-# Internally monomials are coded as flat int tuples (g0, e0, g1, e1, ...) over
-# the indices of a sorted generator tuple; coding keeps hashing and slicing
-# cheap.  The product and the Leibniz differential (model.py) run on this
-# coding; Monomial and Polynomial are its public views.  Bases and coboundary
-# columns run on packed exponent vectors (`_Packing`): one int per monomial,
-# on which a product is an integer sum.  `_enumerate` lists the degree-wise
-# bases packed, and `_Packing.unpack` turns a packed monomial into its code.
-
-Coded = tuple[int, ...]  # flat (gen index, exponent) pairs
+# Internally a monomial is one int, its exponent vector packed by a `_Packing`
+# of a sorted generator tuple, wide enough for the degrees an operation
+# touches.  The product (`_mul_poly`), the Leibniz differential (model.py),
+# the bases (`_enumerate`) and the coboundary columns (cohomology.py) all run
+# on packed ints; Monomial and Polynomial are their public views, converted
+# only at the API boundary (`_Packing.packed` and `_Packing.monomial`).
 
 
-def _encode(index: Mapping[Generator, int], m: Monomial) -> Coded:
-    """Code of a canonical monomial; KeyError(g) for a generator not in index."""
-    out: list[int] = []
-    for g, e in m.factors:
-        out.append(index[g])
-        out.append(e)
-    return tuple(out)
-
-
-def _decode(gens: Sequence[Generator], coded: Coded) -> Monomial:
-    return Monomial(
-        tuple((gens[coded[i]], coded[i + 1]) for i in range(0, len(coded), 2))
-    )
-
-
-def _mul_coded(odd: Sequence[bool], a: Coded, b: Coded) -> tuple[int, Coded | None]:
-    """Merge two coded words; returns (Koszul sign, word) or (0, None)."""
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    la = len(a)
-    lb = len(b)
-    # odd_tail[i] = number of odd letters of a at flat position >= i
-    odd_tail = [0] * (la // 2 + 1)
-    for k in range(la - 2, -2, -2):
-        odd_tail[k // 2] = odd_tail[k // 2 + 1] + (1 if odd[a[k]] else 0)
-    res: list[int] = []
-    sign = 1
-    i = j = 0
-    while i < la or j < lb:
-        if j >= lb or (i < la and a[i] < b[j]):
-            res.append(a[i])
-            res.append(a[i + 1])
-            i += 2
-        elif i >= la or b[j] < a[i]:
-            g = b[j]
-            if odd[g] and odd_tail[i // 2] % 2:
-                sign = -sign
-            res.append(g)
-            res.append(b[j + 1])
-            j += 2
-        else:
-            g = a[i]
-            if odd[g]:
-                return 0, None
-            res.append(g)
-            res.append(a[i + 1] + b[j + 1])
-            i += 2
-            j += 2
-    return sign, tuple(res)
-
-
-def _div_coded(a: Coded, b: Coded) -> Coded | None:
-    """The word a / b, or None when b does not divide a."""
-    out: list[int] = []
-    i = 0
-    la = len(a)
-    for j in range(0, len(b), 2):
-        g = b[j]
-        while i < la and a[i] < g:
-            out.append(a[i])
-            out.append(a[i + 1])
-            i += 2
-        if i == la or a[i] != g or a[i + 1] < b[j + 1]:
-            return None
-        e = a[i + 1] - b[j + 1]
-        if e:
-            out.append(g)
-            out.append(e)
-        i += 2
-    out.extend(a[i:])
-    return tuple(out)
-
-
-def _mul_poly_coded(
-    odd: Sequence[bool], a: Mapping[Coded, Fraction], b: Mapping[Coded, Fraction]
-) -> dict[Coded, Fraction]:
-    """Product of two coded polynomials (word -> coefficient maps)."""
-    acc: dict[Coded, Fraction] = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            sign, m = _mul_coded(odd, ma, mb)
-            if sign:
-                c = acc.get(m, ZERO) + sign * ca * cb
-                if c:
-                    acc[m] = c
-                else:
-                    acc.pop(m, None)
+def _mul_poly(
+    pk: "_Packing", a: Mapping[int, Fraction], b: Mapping[int, Fraction]
+) -> dict[int, Fraction]:
+    """Product of two packed polynomials (monomial -> coefficient maps) whose
+    degrees add up to at most pk.dmax: each product of monomials is their
+    sum, 0 when they share an odd letter, signed by `_Packing.koszul`."""
+    odd = pk.odd
+    acc: dict[int, Fraction] = {}
+    for mb, cb in b.items():
+        kb = pk.koszul(mb)
+        for ma, ca in a.items():
+            if ma & mb & odd:
+                continue
+            c = -ca * cb if (ma & kb).bit_count() & 1 else ca * cb
+            m = ma + mb
+            v = acc.get(m)
+            if v is not None:
+                c += v
+                if not c:
+                    del acc[m]
+                    continue
+            acc[m] = c
     return acc
 
 
@@ -459,7 +389,8 @@ def _packing_bound(degree: int) -> int:
 
 
 class _Packing:
-    """Exponent vectors packed into one int, generator 0 most significant.
+    """Exponent vectors over the generators `gens` packed into one int,
+    generator 0 most significant.
 
     Field i holds the exponent of generator i and is wide enough for every
     exponent a monomial of degree <= `dmax` can have: dmax // |x| for an even
@@ -471,53 +402,59 @@ class _Packing:
     dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
     """
 
-    __slots__ = ("dmax", "shifts", "odd", "_fields")
+    __slots__ = ("gens", "index", "dmax", "shifts", "masks", "odd", "_owner")
 
-    def __init__(self, degs: tuple[int, ...], degree: int):
+    def __init__(self, gens: tuple[Generator, ...], degree: int):
+        self.gens = gens
+        self.index = {g: i for i, g in enumerate(gens)}
         self.dmax = dmax = _packing_bound(degree)
-        shifts = [0] * len(degs)
-        fields = [(0, 0)] * len(degs)
-        odd = top = 0
-        for i in reversed(range(len(degs))):
-            if degs[i] % 2:
-                odd |= 1 << top
-                width = 1
-            else:
-                width = (dmax // degs[i]).bit_length()
-            shifts[i] = top
-            fields[i] = (top, (1 << width) - 1)
-            top += width
+        shifts = [0] * len(gens)
+        masks = [0] * len(gens)
+        owner: list[int] = []  # owner[b]: the generator whose field holds bit b
+        odd = 0
+        for i in reversed(range(len(gens))):
+            d = gens[i].degree
+            width = 1 if d % 2 else (dmax // d).bit_length()
+            if d % 2:
+                odd |= 1 << len(owner)
+            shifts[i] = len(owner)
+            masks[i] = (1 << width) - 1
+            owner.extend([i] * width)
         self.shifts = tuple(shifts)
+        self.masks = tuple(masks)
         self.odd = odd
-        self._fields = tuple(fields)
+        self._owner = owner
 
-    def pack(self, coded: Coded) -> int:
-        shifts = self.shifts
-        return sum(coded[p + 1] << shifts[coded[p]] for p in range(0, len(coded), 2))
+    def packed(self, m: Monomial) -> int:
+        """The packed monomial m; KeyError(g) for a generator g not in gens."""
+        shifts, index = self.shifts, self.index
+        return sum(e << shifts[index[g]] for g, e in m.factors)
 
-    def unpack(self, packed: int) -> Coded:
-        out: list[int] = []
-        for i, (shift, mask) in enumerate(self._fields):
-            e = packed >> shift & mask
-            if e:
-                out.append(i)
-                out.append(e)
-        return tuple(out)
+    def monomial(self, packed: int) -> Monomial:
+        """The Monomial of a packed one, read field by field from the top."""
+        factors = []
+        while packed:
+            i = self._owner[packed.bit_length() - 1]
+            shift = self.shifts[i]
+            factors.append((self.gens[i], packed >> shift))
+            packed &= (1 << shift) - 1
+        return Monomial(tuple(factors))
 
     def low(self, i: int) -> int:
         """The mask of the fields of generators i.. (all bits when i == 0)."""
         return (1 << self.shifts[i - 1]) - 1 if i else -1
 
-    def koszul(self, coded: Coded) -> int:
-        """The mask K with sign(P·X) = (-1)^{popcount(P & K)} for a packed P
-        and the coded word X, when P and X share no odd letter: each odd
-        letter x of X passes the odd letters of P that come after it, whose
-        fields lie below x's."""
+    def koszul(self, packed: int) -> int:
+        """The mask K with sign(P·X) = (-1)^{popcount(P & K)} for packed P and
+        X that share no odd letter: each odd letter x of X passes the odd
+        letters of P that come after it, whose fields lie below x's."""
+        odd = self.odd
         mask = 0
-        for p in range(0, len(coded), 2):
-            shift = self.shifts[coded[p]]
-            if self.odd >> shift & 1:
-                mask ^= self.odd & ((1 << shift) - 1)
+        x = packed & odd
+        while x:
+            top = x.bit_length() - 1
+            x ^= 1 << top
+            mask ^= odd & ((1 << top) - 1)
         return mask
 
 
@@ -573,10 +510,9 @@ def iter_basis(
     if degree < 0:
         raise AlgebraError("negative degree")
     gens = _sorted_gens(generators)
-    degs = tuple(g.degree for g in gens)
-    packing = _Packing(degs, degree)
-    for packed in _enumerate(degs, degree, packing.shifts):
-        yield _decode(gens, packing.unpack(packed))
+    pk = _Packing(gens, degree)
+    for packed in _enumerate(tuple(g.degree for g in gens), degree, pk.shifts):
+        yield pk.monomial(packed)
 
 
 @lru_cache(maxsize=256)

@@ -376,9 +376,15 @@ def cmd_extend(args) -> int:
         raise UsageError(f"generator name {name} already used")
     if args.closing not in names:
         raise UsageError(f"unknown generator {args.closing!r} in {m.label}")
+    z = m.generator(args.closing)
+    if degree * exponent != z.degree + 1:
+        raise UsageError(
+            f"extension degree mismatch: {degree} * {exponent} != |{z.name}| + 1 = {z.degree + 1}"
+        )
     try:
         extended = extend_tower(m, args.closing, degree, exponent, name=name or None)
-    except AlgebraError as exc:  # a generator name the model text cannot hold
+        extended.require_valid()  # x^k in d(z) can break d ∘ d = 0
+    except (AlgebraError, ModelError) as exc:  # a name the model text cannot hold, or a non-complex
         raise UsageError(str(exc))
     text = dsl.serialize(extended)
     results = {

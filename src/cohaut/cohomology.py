@@ -98,19 +98,8 @@ from fractions import Fraction
 from typing import Callable
 
 from . import linalg
-from .algebra import (
-    Coded,
-    Monomial,
-    Polynomial,
-    Q,
-    _div_coded,
-    _enumerate,
-    _mul_coded,
-    _Packing,
-    _packing_bound,
-    poincare_series,
-)
-from .model import SullivanModel, _CodedModel
+from .algebra import Monomial, Polynomial, Q, _enumerate, _Packing, poincare_series
+from .model import SullivanModel, _PackedModel
 
 _Q0 = Q(0)
 _Q1 = Q(1)
@@ -144,21 +133,20 @@ class _LRU:
 
 class _Complex:
     """Cached bases, coboundary columns, ranks and windows of one model's
-    cochain complex, on the model's integer-coded view.
+    cochain complex, on the model's packed view.
 
     Monomials are packed ints (`algebra._Packing`).  Everything at degree k
-    (basis(k), columns(k) and the window at k) uses the packing of degree
-    k + 1, `packing(k + 1)`; the window at k also reads columns(k - 1) in it.
+    (basis(k), columns(k) and the window at k) uses the view's packing of
+    degree k + 1; the window at k also reads columns(k - 1) in it.
     """
 
     def __init__(self, model: SullivanModel):
         self.model = model
-        self.view = view = model._coded
+        self.view = view = model._packed
         self._bases = _LRU(8)
         self._columns = _LRU(6)
         self._windows = _LRU(4)
         self._ranks: dict[int, int] = {}
-        self._packings: dict[int, _Packing] = {}
         # templates of the active words, by (packing bound, word degree)
         self._templates: dict[tuple[int, int], list[tuple[int, list[tuple[int, int, Fraction]]]]] = {}
         diff = view.diff
@@ -166,25 +154,17 @@ class _Complex:
         self._active = tuple(i for i in range(n) if i in diff)
         self._closed = tuple(i for i in range(n) if i not in diff)
         # free generators: closed, and a factor of no term of any differential
-        used = {t[p] for dv in diff.values() for t, _ in dv for p in range(0, len(t), 2)}
+        used = {view.index[g] for dv in diff.values() for t in dv._terms for g, _ in t.factors}
         self._free = [i for i in self._closed if i not in used]
         self._core: _Complex | None = None
 
-    def packing(self, degree: int) -> _Packing:
-        """The packing of monomials of degree <= `degree` (one per bound)."""
-        bound = _packing_bound(degree)
-        pk = self._packings.get(bound)
-        if pk is None:
-            pk = self._packings.setdefault(bound, _Packing(self.view.degs, bound))
-        return pk
-
     def basis(self, degree: int) -> tuple[int, ...]:
-        """Packed basis(degree), in packing(degree + 1)."""
+        """Packed basis(degree), in the packing of degree + 1."""
         if degree < 0:
             return ()
         return self._bases.get_or_create(
             degree,
-            lambda: _enumerate(self.view.degs, degree, self.packing(degree + 1).shifts),
+            lambda: _enumerate(self.view.degs, degree, self.view.packing(degree + 1).shifts),
         )
 
     def basis_size(self, degree: int) -> int:
@@ -195,12 +175,12 @@ class _Complex:
         self, degree: int, pk: _Packing | None = None
     ) -> dict[int, list[tuple[int, Fraction]]]:
         """Sparse coboundary columns of basis(degree), packed in `pk` (by
-        default packing(degree + 1)): each nonzero column, keyed by its
+        default the packing of degree + 1): each nonzero column, keyed by its
         monomial, as (degree-(k+1) monomial, coefficient) rows."""
         if degree < 0:
             return {}
         if pk is None:
-            pk = self.packing(degree + 1)
+            pk = self.view.packing(degree + 1)
         return self._columns.get_or_create(
             (pk.dmax, degree), lambda: self._build_columns(degree, pk)
         )
@@ -248,12 +228,10 @@ class _Complex:
             for a in _enumerate(
                 tuple(view.degs[i] for i in active), degree, tuple(pk.shifts[i] for i in active)
             ):
-                word = pk.unpack(a)
-                image = view.d_coded(word)
+                image = view.d(pk, a)
                 if image:
-                    base = pk.odd ^ pk.koszul(word)
-                    terms = [(pk.pack(t), base ^ pk.koszul(t), c) for t, c in image.items()]
-                    words.append((a, terms))
+                    base = pk.odd ^ pk.koszul(a)
+                    words.append((a, [(t, base ^ pk.koszul(t), c) for t, c in image.items()]))
             words = self._templates.setdefault(key, words)
         return words
 
@@ -487,7 +465,7 @@ class _Window:
     def __init__(self, cx: _Complex, k: int, components: list[_Component], basis_k):
         self.cx = cx
         self.degree = k
-        self.packing = cx.packing(k + 1)
+        self.packing = cx.view.packing(k + 1)
         self.components = components
         self.comp_of_k: dict[int, int] = {}
         for cid, comp in enumerate(components):
@@ -507,7 +485,7 @@ class _Window:
 
     @classmethod
     def build(cls, cx: _Complex, k: int) -> "_Window":
-        comps = _components(cx.columns(k - 1, cx.packing(k + 1)), cx.columns(k))
+        comps = _components(cx.columns(k - 1, cx.view.packing(k + 1)), cx.columns(k))
         return cls(cx, k, comps, cx.basis(k))
 
     def below(self, cut: int) -> "_Window":
@@ -617,11 +595,11 @@ class _Window:
 class CohomologyBasis:
     """Basis of H^k(model): deterministic representatives and coordinates.
 
-    Polynomials are coded with the model's own view, so a generator outside
-    the model raises ModelError, and packed in the window's packing, which
-    for a basis from `below` is the parent's (the codes agree on the
-    generator prefix).  Positions are class coordinates: class i is the i-th
-    in the window's layout.
+    Polynomials are converted at this boundary, in the window's packing,
+    which for a basis from `below` is the parent's (its fields agree on the
+    generator prefix); `class_of` takes d in the model first, so a generator
+    outside the model raises ModelError.  Positions are class coordinates:
+    class i is the i-th in the window's layout.
     """
 
     __slots__ = ("model", "degree", "dimension", "_window")
@@ -645,10 +623,8 @@ class CohomologyBasis:
         return self._window.image_rank()
 
     def representative(self, i: int) -> Polynomial:
-        window = self._window
-        decode = window.cx.view.decode
-        unpack = window.packing.unpack
-        return Polynomial({decode(unpack(m)): c for m, c in window.representative_vec(i).items()})
+        monomial = self._window.packing.monomial
+        return Polynomial({monomial(m): c for m, c in self._window.representative_vec(i).items()})
 
     def representatives(self) -> list[Polynomial]:
         return [self.representative(i) for i in range(self.dimension)]
@@ -661,9 +637,8 @@ class CohomologyBasis:
         dp = self.model.d(p)
         if dp:
             raise NotACocycle(f"d(p) = {dp} != 0")
-        encode = self.model._coded.encode
-        pack = self._window.packing.pack
-        vec = {pack(encode(m)): c for m, c in p.terms()}
+        packed = self._window.packing.packed
+        vec = {packed(m): c for m, c in p.terms()}
         return CohomologyClass(self, self._window.class_of_vec(vec))
 
     def linear_parts(self) -> dict[int, dict[str, Fraction]]:
@@ -675,11 +650,10 @@ class CohomologyBasis:
         gens = self.model.gens_of_degree(self.degree)
         if not gens:
             return {}
-        encode = self.model._coded.encode
-        pack = self._window.packing.pack
+        packed = self._window.packing.packed
         out: dict[int, dict[str, Fraction]] = {}
         for g in gens:
-            for pos, c in self._window.classes_containing(pack(encode(Monomial(((g, 1),))))).items():
+            for pos, c in self._window.classes_containing(packed(Monomial(((g, 1),)))).items():
                 out.setdefault(pos, {})[g.name] = c
         return out
 
@@ -730,19 +704,17 @@ def class_of(m: SullivanModel, k: int, p: Polynomial) -> CohomologyClass:
 
 def coboundary_matrix(m: SullivanModel, k: int) -> list[list[Fraction]]:
     """Dense matrix of d: degree k -> k+1 over the monomial bases, from one
-    Leibniz expansion (`d_coded`) per basis monomial: an oracle that does not
-    read the template columns."""
+    Leibniz expansion (`_PackedModel.d`) per basis monomial: an oracle that
+    does not read the template columns."""
     if k < 0:
         raise ValueError("degree must be >= 0")
-    cx = complex_for(m)
-    unpack_up = cx.packing(k + 2).unpack
-    row_of = {unpack_up(mono): i for i, mono in enumerate(cx.basis(k + 1))}
-    src = cx.basis(k)
-    unpack = cx.packing(k + 1).unpack
-    d_coded = cx.view.d_coded
+    view = m._packed
+    pk = view.packing(k + 2)
+    row_of = {mono: i for i, mono in enumerate(_enumerate(view.degs, k + 1, pk.shifts))}
+    src = _enumerate(view.degs, k, pk.shifts)
     mat = [[_Q0] * len(src) for _ in row_of]
     for j, mono in enumerate(src):
-        for hit, val in d_coded(unpack(mono)).items():
+        for hit, val in view.d(pk, mono).items():
             mat[row_of[hit]][j] = val
     return mat
 
@@ -752,26 +724,36 @@ def image_rank(m: SullivanModel, k: int) -> int:
     return complex_for(m).rank(k - 1)
 
 
-def _block(view: _CodedModel, monos: list[Coded]) -> dict[Coded, dict[Coded, Fraction]]:
-    """The degree-(k-1) side of the local block of some degree-k monomials:
-    each u with a term of d(u) in the closure of `monos` over the edges u -> M
-    (M a term of d(u)), mapped to its column d(u); see the module docstring."""
-    odd = view.odd
-    d_coded = view.d_coded
-    terms = [(v, t) for v, dv in view.diff.items() for t, _ in dv]
+def _block(view: _PackedModel, pk: _Packing, monos: list[int]) -> dict[int, dict[int, Fraction]]:
+    """The degree-(k-1) side of the local block of some degree-k monomials,
+    packed in pk: each u with a term of d(u) in the closure of `monos` over
+    the edges u -> M (M a term of d(u)), mapped to its column d(u); see the
+    module docstring.  A term T of d(v) divides M when no letter has a higher
+    exponent in T than in M."""
+    index = view.index
+    terms = [  # (v, v odd, T, the (shift, mask, exponent) of each letter of T) per term T of d(v)
+        (
+            1 << pk.shifts[v],
+            view.degs[v] % 2,
+            t,
+            [(pk.shifts[index[g]], pk.masks[index[g]], e) for g, e in mono.factors],
+        )
+        for v, dv in view.diff.items()
+        for t, mono in zip(view.pack(pk, dv._terms), dv._terms)
+    ]
     seen = set(monos)
     todo = list(dict.fromkeys(monos))
-    cols: dict[Coded, dict[Coded, Fraction]] = {}
+    cols: dict[int, dict[int, Fraction]] = {}
     while todo:
         big = todo.pop()
-        for v, t in terms:
-            rest = _div_coded(big, t)
-            if rest is None:
+        for v, v_odd, t, letters in terms:
+            if any(big >> shift & mask < e for shift, mask, e in letters):
                 continue
-            sign, u = _mul_coded(odd, rest, (v, 1))
-            if not sign or u in cols:
+            rest = big - t
+            u = rest + v
+            if v_odd and rest & v or u in cols:
                 continue
-            col = d_coded(u)
+            col = view.d(pk, u)
             if big in col:  # else the term cancels in d(u)
                 cols[u] = col
                 for hit in col:
@@ -787,32 +769,34 @@ def residues_independent(m: SullivanModel, k: int, monos: list[Monomial]) -> boo
     for mono in monos:
         if mono.degree != k:
             raise ValueError(f"monomial {mono} has degree {mono.degree}, expected {k}")
-    view = m._coded
-    coded = [view.encode(mono) for mono in monos]
-    cols = list(_block(view, coded).values())
-    units = [{c: _Q1} for c in coded]
-    return linalg.sparse_rank(cols + units) - linalg.sparse_rank(cols) == len(coded)
+    view = m._packed
+    pk = view.packing(k)
+    packed = view.pack(pk, monos)
+    cols = list(_block(view, pk, packed).values())
+    units = [{c: _Q1} for c in packed]
+    return linalg.sparse_rank(cols + units) - linalg.sparse_rank(cols) == len(packed)
 
 
 def solve_coboundary(m: SullivanModel, k: int, rhs: Polynomial) -> Polynomial | None:
     """u of degree k-1 with d(u) = rhs (free variables zero), or None.
 
-    Solved on the local block of rhs with its columns in basis order, which
-    gives the u of the whole degree-k system."""
+    Solved on the local block of rhs with its columns in basis order
+    (descending packed ints), which gives the u of the whole degree-k system."""
     if rhs.is_zero():
         return Polynomial.zero()
     if rhs.homogeneous_degree() != k:
         raise ValueError(f"rhs has degree {rhs.homogeneous_degree()}, expected {k}")
-    view = m._coded
-    vec = view.encode_poly(rhs)
-    cols = _block(view, list(vec))
-    rows: dict[Coded, int] = {}
+    view = m._packed
+    pk = view.packing(k)
+    vec = view.pack_poly(pk, rhs)
+    cols = _block(view, pk, list(vec))
+    rows: dict[int, int] = {}
     for col in cols.values():
         for mono in col:
             rows.setdefault(mono, len(rows))
     if not rows.keys() >= vec.keys():
         return None  # a monomial of rhs is a term of no d(u)
-    order = sorted(cols, key=_Packing(view.degs, k).pack, reverse=True)  # basis order
+    order = sorted(cols, reverse=True)
     mat = [[_Q0] * len(order) for _ in rows]
     for j, u in enumerate(order):
         for mono, c in cols[u].items():
@@ -820,7 +804,7 @@ def solve_coboundary(m: SullivanModel, k: int, rhs: Polynomial) -> Polynomial | 
     x = linalg.solve(mat, [vec.get(mono, _Q0) for mono in rows])
     if x is None:
         return None
-    return Polynomial({view.decode(u): c for u, c in zip(order, x) if c})
+    return view.polynomial(pk, {u: c for u, c in zip(order, x) if c})
 
 
 def induced_map(f, k: int) -> list[list[Fraction]]:

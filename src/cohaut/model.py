@@ -15,15 +15,13 @@ from typing import Iterable, Mapping
 from .algebra import (
     ONE,
     ZERO,
-    Coded,
     Generator,
     Monomial,
     Polynomial,
     Q,
-    _decode,
-    _encode,
-    _mul_coded,
-    _mul_poly_coded,
+    _mul_poly,
+    _Packing,
+    _packing_bound,
     basis,
     coordinates,
 )
@@ -97,7 +95,7 @@ class SullivanModel:
             ),
         )
         self._hash = hash(self._key)
-        self._view: _CodedModel | None = None
+        self._view: _PackedModel | None = None
         self._report: ValidationReport | None = None
 
     # -- identity ------------------------------------------------------------
@@ -148,22 +146,25 @@ class SullivanModel:
     # -- the differential as a derivation ------------------------------------
 
     @property
-    def _coded(self) -> "_CodedModel":
-        """The integer-coded view, built on first use."""
+    def _packed(self) -> "_PackedModel":
+        """The packed view, built on first use."""
         view = self._view
         if view is None:
-            view = self._view = _CodedModel(self)
+            view = self._view = _PackedModel(self)
         return view
 
     def d(self, p: Polynomial) -> Polynomial:
         """Leibniz extension: d(ab) = d(a) b + (-1)^|a| a d(b)."""
         if p and not p.is_homogeneous():
             raise ModelError("apply_differential needs a homogeneous polynomial")
-        view = self._coded
-        acc: dict[Coded, Fraction] = {}
-        for mono, coeff in p.terms():
-            _add_scaled(acc, coeff, view.d_coded(view.encode(mono)))
-        return view.decode_poly(acc)
+        if not p:
+            return Polynomial.zero()
+        view = self._packed
+        pk = view.packing(p.homogeneous_degree() + 1)
+        acc: dict[int, Fraction] = {}
+        for mono, coeff in view.pack_poly(pk, p).items():
+            _add_scaled(acc, coeff, view.d(pk, mono))
+        return view.polynomial(pk, acc)
 
     # -- construction helpers --------------------------------------------------
 
@@ -245,77 +246,95 @@ class SullivanModel:
             )
 
 
-class _CodedModel:
-    """Integer-coded view of one model: generator index, degrees, parities and
-    the coded differential (see the coded kernel in algebra.py)."""
+class _PackedModel:
+    """The packed view of one model: its generators and differential, and per
+    degree bound the one packing of that bound (see the packed kernel in
+    algebra.py) with the Leibniz table of d in it."""
 
-    __slots__ = ("label", "gens", "degs", "odd", "index", "diff")
+    __slots__ = ("label", "gens", "degs", "index", "diff", "_bounds")
 
     def __init__(self, model: SullivanModel):
         self.label = model.label
         self.gens = model.generators
         self.degs = tuple(g.degree for g in self.gens)
-        self.odd = tuple(g.degree % 2 == 1 for g in self.gens)
         self.index = {g: i for i, g in enumerate(self.gens)}
-        self.diff: dict[int, list[tuple[Coded, Fraction]]] = {}
-        for i, g in enumerate(self.gens):
-            dg = model._diff.get(g.name)
-            if dg:
-                self.diff[i] = [(self.encode(m), c) for m, c in dg.terms()]
+        # d of each active generator, by generator index
+        self.diff = {i: model._diff[g.name] for i, g in enumerate(self.gens) if g.name in model._diff}
+        self._bounds: dict[int, tuple[_Packing, list]] = {}
 
-    def encode(self, m: Monomial) -> Coded:
+    def packing(self, degree: int) -> _Packing:
+        """The packing of monomials of degree <= `degree` (one per bound)."""
+        return self._bound(degree)[0]
+
+    def _bound(self, degree: int) -> tuple[_Packing, list]:
+        bound = _packing_bound(degree)
+        entry = self._bounds.get(bound)
+        if entry is None:
+            # per active generator g: its field, the mask of the odd fields
+            # above it (None for an even g), and (T, K(T), c) per term c·T of d(g)
+            pk = _Packing(self.gens, bound)
+            table = [
+                (
+                    pk.shifts[i],
+                    pk.masks[i],
+                    pk.odd & -(2 << pk.shifts[i]) if self.degs[i] % 2 else None,
+                    [(t, pk.koszul(t), c) for t, c in self.pack_poly(pk, dg).items()],
+                )
+                for i, dg in self.diff.items()
+            ]
+            entry = self._bounds.setdefault(bound, (pk, table))
+        return entry
+
+    def pack(self, pk: _Packing, monos: Iterable[Monomial]) -> list[int]:
+        """The monomials packed in pk; ModelError for a generator outside the model."""
         try:
-            return _encode(self.index, m)
+            return [pk.packed(m) for m in monos]
         except KeyError as exc:
-            raise ModelError(
-                f"generator {exc.args[0].name} is not in {self.label}"
-            ) from None
+            raise ModelError(f"generator {exc.args[0].name} is not in {self.label}") from None
 
-    def encode_poly(self, p: Polynomial) -> dict[Coded, Fraction]:
-        return {self.encode(m): c for m, c in p.terms()}
+    def pack_poly(self, pk: _Packing, p: Polynomial) -> dict[int, Fraction]:
+        return dict(zip(self.pack(pk, p._terms), p._terms.values()))
 
-    def decode(self, coded: Coded) -> Monomial:
-        return _decode(self.gens, coded)
+    def polynomial(self, pk: _Packing, terms: Mapping[int, Fraction]) -> Polynomial:
+        return Polynomial({pk.monomial(m): c for m, c in terms.items()})
 
-    def decode_poly(self, p: Mapping[Coded, Fraction]) -> Polynomial:
-        return Polynomial({_decode(self.gens, m): c for m, c in p.items()})
-
-    def d_coded(self, mono: Coded) -> dict[Coded, Fraction]:
-        """Coded Leibniz differential of a coded monomial.  The term of g in
-        prefix·g^e·suffix is merged as rest·d(g); for an even g, d(g) is odd
-        and passing the suffix makes the sign (-1)^{|prefix|+|suffix|}."""
-        diff = self.diff
-        degs = self.degs
-        odd = self.odd
-        mul = _mul_coded
-        out: dict[Coded, Fraction] = {}
-        prefix_deg = 0
-        for pos in range(0, len(mono), 2):
-            g = mono[pos]
-            dg = diff.get(g)
-            if dg is not None:
-                e = mono[pos + 1]
-                rest = mono[:pos] + ((g, e - 1) if e > 1 else ()) + mono[pos + 2 :]
-                if odd[g]:
-                    head = -1 if prefix_deg % 2 else 1
-                else:
-                    word_deg = sum(degs[mono[q]] * mono[q + 1] for q in range(0, len(mono), 2))
-                    head = -e if word_deg % 2 else e
-                for dmon, c in dg:
-                    s2, m2 = mul(odd, rest, dmon)
-                    if s2:
-                        acc = out.get(m2)
-                        val = (acc if acc is not None else 0) + head * s2 * c
-                        if val:
-                            out[m2] = val
-                        elif acc is not None:
-                            del out[m2]
-            prefix_deg += degs[mono[pos]] * mono[pos + 1]
+    def d(self, pk: _Packing, mono: int) -> dict[int, Fraction]:
+        """Leibniz d of a monomial packed in pk, one of this view's packings,
+        of a bound > |mono|.  The term of g in mono = prefix·g^e·suffix is
+        rest·d(g), rest = mono - g: an odd g passes the prefix, so the sign is
+        (-1)^{|prefix|}, the parity of the odd letters above g's field; for an
+        even g, d(g) is odd and passes the suffix, so the term is
+        (-1)^{|mono|}·e·rest·d(g).  rest·T is 0 when they share an odd letter
+        and signed by K(T) otherwise (`_Packing.koszul`)."""
+        odd = pk.odd
+        parity = (mono & odd).bit_count() & 1
+        out: dict[int, Fraction] = {}
+        for shift, mask, above, terms in self._bounds[pk.dmax][1]:
+            e = mono >> shift & mask
+            if not e:
+                continue
+            rest = mono - (1 << shift)
+            if above is None:
+                head = -e if parity else e
+            else:
+                head = -1 if (mono & above).bit_count() & 1 else 1
+            for t, kt, c in terms:
+                if rest & t & odd:
+                    continue
+                val = -head * c if (rest & kt).bit_count() & 1 else head * c
+                m = rest + t
+                acc = out.get(m)
+                if acc is not None:
+                    val += acc
+                    if not val:
+                        del out[m]
+                        continue
+                out[m] = val
         return out
 
 
 def _add_scaled(
-    acc: dict[Coded, Fraction], coeff: Fraction, terms: Mapping[Coded, Fraction]
+    acc: dict[int, Fraction], coeff: Fraction, terms: Mapping[int, Fraction]
 ) -> None:
     """acc += coeff * terms, dropping coefficients that cancel."""
     for m, c in terms.items():
@@ -425,22 +444,23 @@ class CochainMorphism:
             raise MorphismError(f"images given for unknown generators {sorted(extra)}")
         self.images = imgs
         theta = self._theta = _ImagePowers(source, target, imgs)
-        tgt = target._coded
+        tgt = target._packed
         for i, g in enumerate(source.generators):
-            lhs: dict[Coded, Fraction] = {}
+            pk = theta.packing(g.degree + 1)
+            lhs: dict[int, Fraction] = {}
             try:
                 for w, c in theta.power(i, 1).items():
-                    _add_scaled(lhs, c, tgt.d_coded(w))
+                    _add_scaled(lhs, c, tgt.d(pk, w))
             except ModelError as exc:
                 raise MorphismError(f"image of {g.name}: {exc}") from None
             try:
-                rhs = theta.coded(source.differential(g))
+                rhs = theta.packed(source.differential(g))
             except ModelError as exc:
                 raise MorphismError(str(exc)) from None
             if lhs != rhs:
                 raise MorphismError(
                     f"not a cochain morphism: d(f({g.name})) != f(d({g.name})) "
-                    f"({tgt.decode_poly(lhs)} != {tgt.decode_poly(rhs)})"
+                    f"({tgt.polynomial(pk, lhs)} != {tgt.polynomial(pk, rhs)})"
                 )
 
     def apply(self, p: Polynomial) -> Polynomial:
@@ -472,19 +492,21 @@ class CochainMorphism:
 
 class _ImagePowers:
     """θ: ΛV -> ΛW for the algebra map given by generator images, evaluated
-    from a table of coded images and their powers.
+    from a table of packed images and their powers.
 
     `images` maps names of source generators to target polynomials.  It may
     be partial and may grow between calls, as it does over the stages of a
     lift, as long as an image, once read, does not change.  Each entry
     θ(x)^e of the table is computed once, on first use:
-    - a one-term image c·w gives c^e·w^e in closed form (the exponents of w
-      times e), which is 0 when w has an odd letter and e >= 2;
+    - a one-term image c·w gives c^e·(w·e), the packed w times e, which is 0
+      when w has an odd letter and e >= 2;
     - any other image gives the cached θ(x)^{e-1} times θ(x).
-    θ of a word x1^e1···xk^ek is then the product of k table entries.
+    θ of a word x1^e1···xk^ek is then the product of k table entries.  The
+    table lives in one packing of ΛW, the widest a call has needed; a call of
+    higher degree widens it and starts the table afresh.
     """
 
-    __slots__ = ("_src", "_tgt", "_images", "_powers")
+    __slots__ = ("_src", "_tgt", "_images", "_pk", "_powers")
 
     def __init__(
         self,
@@ -492,58 +514,67 @@ class _ImagePowers:
         target: SullivanModel,
         images: Mapping[str, Polynomial],
     ):
-        self._src = source._coded
-        self._tgt = target._coded
+        self._src = source._packed
+        self._tgt = target._packed
         self._images = images
-        self._powers: dict[tuple[int, int], dict[Coded, Fraction]] = {}
+        self._pk = self._tgt.packing(0)
+        self._powers: dict[tuple[int, int], dict[int, Fraction]] = {}
 
-    def power(self, i: int, e: int) -> dict[Coded, Fraction]:
-        """θ(x)^e, coded, for the source generator x of index i."""
+    def packing(self, degree: int) -> _Packing:
+        """The table's packing, widened first if it cannot hold `degree`."""
+        if degree > self._pk.dmax:
+            self._pk = self._tgt.packing(degree)
+            self._powers = {}
+        return self._pk
+
+    def power(self, i: int, e: int) -> dict[int, Fraction]:
+        """θ(x)^e, packed in the table's packing, for the source generator x
+        of index i."""
         powers = self._powers
         out = powers.get((i, e))
         if out is not None:
             return out
+        pk = self._pk
         img = powers.get((i, 1))
         if img is None:
-            img = powers[(i, 1)] = self._tgt.encode_poly(self._images[self._src.gens[i].name])
+            img = powers[(i, 1)] = self._tgt.pack_poly(pk, self._images[self._src.gens[i].name])
             if e == 1:
                 return img
-        odd = self._tgt.odd
         if len(img) == 1:
             ((w, c),) = img.items()
-            if any(odd[w[p]] for p in range(0, len(w), 2)):
-                out = {}
-            else:
-                out = {tuple(x * e if p % 2 else x for p, x in enumerate(w)): c**e}
-            powers[(i, e)] = out
+            out = powers[(i, e)] = {} if w & pk.odd else {w * e: c**e}
             return out
         k = e - 1
         while (i, k) not in powers:
             k -= 1
         out = powers[(i, k)]
         for k in range(k + 1, e + 1):
-            out = powers[(i, k)] = _mul_poly_coded(odd, out, img)
+            out = powers[(i, k)] = _mul_poly(pk, out, img)
         return out
 
-    def coded(self, p: Polynomial) -> dict[Coded, Fraction]:
-        """θ(p) as a coded polynomial."""
-        src = self._src
-        odd = self._tgt.odd
-        acc: dict[Coded, Fraction] = {}
-        for mono, coeff in p.terms():
-            word = src.encode(mono)
+    def packed(self, p: Polynomial) -> dict[int, Fraction]:
+        """θ(p), packed in the table's packing."""
+        if not p:
+            return {}
+        pk = self.packing(max(m.degree for m in p._terms))
+        index = self._src.index
+        acc: dict[int, Fraction] = {}
+        for mono, coeff in p._terms.items():
             term = _UNIT_TERM
-            for pos in range(0, len(word), 2):
-                f = self.power(word[pos], word[pos + 1])
-                term = f if term is _UNIT_TERM else _mul_poly_coded(odd, term, f)
+            for g, e in mono.factors:
+                if g not in index:
+                    raise ModelError(f"generator {g.name} is not in {self._src.label}")
+                f = self.power(index[g], e)
+                term = f if term is _UNIT_TERM else _mul_poly(pk, term, f)
             _add_scaled(acc, coeff, term)
         return acc
 
     def __call__(self, p: Polynomial) -> Polynomial:
-        return self._tgt.decode_poly(self.coded(p))
+        terms = self.packed(p)
+        return self._tgt.polynomial(self._pk, terms)
 
 
-_UNIT_TERM: Mapping[Coded, Fraction] = {(): ONE}
+_UNIT_TERM: Mapping[int, Fraction] = {0: ONE}
 
 
 def identity(m: SullivanModel) -> CochainMorphism:

@@ -5,6 +5,7 @@ lines.  Everything is exact arithmetic; the only tolerances are the stated
 wall-clock budgets.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -378,11 +379,24 @@ def test_criterion_8_group_axioms_example_32():
 # --- criterion 9: byte-identical JSON runs ----------------------------------------------
 
 
+# the bytes and sha256 of `reproduce all --json`; any change to them is a change
+# of output, to be explained where it is made
+REPRODUCE_ALL_JSON = (21794, "de3e870d1f570a11af7f74125db8997c00e81b9855b2b22f2654ed8a56670398")
+
+
 def test_criterion_9_reproduce_all_json_deterministic(capsys):
     code1 = main(["reproduce", "all", "--json"])
     out1 = capsys.readouterr().out
     code2 = main(["reproduce", "all", "--json"])
     out2 = capsys.readouterr().out
-    ok = code1 == 0 and code2 == 0 and out1 == out2 and len(out1) > 1000
+    data = out1.encode()
+    pinned = (len(data), hashlib.sha256(data).hexdigest()) == REPRODUCE_ALL_JSON
+    ok = code1 == 0 and code2 == 0 and out1 == out2 and pinned
     with capsys.disabled():
-        verdict(9, "two consecutive `reproduce all --json` runs are byte-identical", ok)
+        verdict(
+            9,
+            "two consecutive `reproduce all --json` runs are byte-identical, "
+            "with the pinned size and sha256",
+            ok,
+            f"{len(data)} bytes",
+        )

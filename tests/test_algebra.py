@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -14,6 +16,8 @@ from cohaut.algebra import (
     coordinates,
     from_coordinates,
     iter_basis,
+    _mul_poly,
+    _Packing,
     multiply,
     poincare_series,
 )
@@ -175,6 +179,103 @@ def test_graded_commutativity_and_associativity():
             else:
                 assert mp_mq == Polynomial.monomial(canon[1], canon[0])
             assert multiply(p, q) == cp * cq * mp_mq
+
+
+# --- the product against a brute-force Koszul product ------------------------------
+
+# mixed parities: even x, y, z and odd a, b, c, w
+_X, _A, _Y, _B, _Z, _C, _W = (
+    Generator(n, d) for n, d in (("x", 2), ("a", 3), ("y", 4), ("b", 5), ("z", 6), ("c", 7), ("w", 9))
+)
+_ORACLE_GENS = (_X, _A, _Y, _B, _Z, _C, _W)
+
+
+def _koszul_product(letters):
+    """The product of a list of letters, by brute force: (sign, Monomial), or
+    None when an odd letter repeats.  Sorting the list into canonical order
+    transposes each pair of odd letters that stand out of order once, so the
+    sign is -1 to the number of such pairs."""
+    odd = [g for g in letters if g.is_odd]
+    if len(set(odd)) < len(odd):
+        return None
+    swaps = sum(h.sort_key < g.sort_key for i, g in enumerate(odd) for h in odd[i + 1 :])
+    factors = sorted(Counter(letters).items(), key=lambda ge: ge[0].sort_key)
+    return (-1) ** swaps, Monomial(tuple(factors))
+
+
+def _letters(m):
+    return [g for g, e in m.factors for _ in range(e)]
+
+
+def _oracle_product(a, b):
+    acc = Polynomial.zero()
+    for ma, ca in a.terms():
+        for mb, cb in b.terms():
+            canon = _koszul_product(_letters(ma) + _letters(mb))
+            if canon is not None:
+                acc = acc + Polynomial.monomial(canon[1], canon[0] * ca * cb)
+    return acc
+
+
+def _random_monomial(rng, degree):
+    """A random canonical monomial of degree 0 or >= 2 in _ORACLE_GENS."""
+    while True:
+        odd = [g for g in (_A, _B, _C, _W) if rng.random() < 0.5]
+        rem = degree - sum(g.degree for g in odd)
+        if rem >= 0 and rem % 2 == 0:
+            break
+    exps = {g: 1 for g in odd}
+    for g in (_Z, _Y):
+        exps[g] = rng.randint(0, rem // g.degree)
+        rem -= exps[g] * g.degree
+    exps[_X] = rem // 2
+    return Monomial(tuple(sorted(((g, e) for g, e in exps.items() if e), key=lambda ge: ge[0].sort_key)))
+
+
+def _random_poly(rng, degree):
+    """One to three random monomials of one degree with nonzero coefficients."""
+    coeffs = (1, -1, 2, Q(-1, 3))
+    return Polynomial({_random_monomial(rng, degree): rng.choice(coeffs) for _ in range(rng.randint(1, 3))})
+
+
+def _packed_product(a, b, degree):
+    pk = _Packing(_ORACLE_GENS, degree)
+    pa, pb = ({pk.packed(m): c for m, c in p.terms()} for p in (a, b))
+    return Polynomial({pk.monomial(m): c for m, c in _mul_poly(pk, pa, pb).items()})
+
+
+@pytest.mark.parametrize("total", [16, 40, 127, 128, 129, 255, 256, 257])
+def test_products_match_a_brute_force_koszul_product(total):
+    # the operands' degrees add up to `total`, on both sides of the packing bounds
+    rng = random.Random(total)
+    vanished = 0
+    for _ in range(40):
+        da = rng.randint(2, total - 2)
+        a, b = _random_poly(rng, da), _random_poly(rng, total - da)
+        expected = _oracle_product(a, b)
+        assert multiply(a, b) == expected, (a, b)
+        assert _packed_product(a, b, total) == expected, (a, b)
+        # one raw word: both letter lists shuffled together, letters repeated
+        letters = _letters(a.terms()[0][0]) + _letters(b.terms()[0][0])
+        rng.shuffle(letters)
+        raw = [(g, 1) for g in letters]
+        canon = _koszul_product(letters)
+        assert canonicalize(raw) == canon, raw
+        vanished += canon is None
+    assert 0 < vanished < 40  # some words hold an odd square, most do not
+
+
+def test_products_of_high_powers_widen_the_fields():
+    x300 = Polynomial.monomial(mono((_X, 300)))
+    x600 = Polynomial.monomial(mono((_X, 600)))
+    assert multiply(x300, x300) == x600 == _oracle_product(x300, x300)
+    assert _packed_product(x300, x300, 1200) == x600
+    # x^64 fits the fields of bound 128, but x^64 * x^64 needs bound 256
+    x64 = Polynomial.monomial(mono((_X, 64), (_A, 1)))
+    assert _packed_product(x64, x64, 256).is_zero()
+    y = Polynomial.monomial(mono((_X, 64), (_B, 1)))
+    assert multiply(x64, y) == _packed_product(x64, y, 256) == _oracle_product(x64, y)
+    assert canonicalize([(_X, 300), (_B, 1), (_X, 300), (_A, 1)]) == (-1, mono((_X, 600), (_A, 1), (_B, 1)))
 
 
 # --- basis ----------------------------------------------------------------------

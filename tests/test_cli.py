@@ -208,9 +208,26 @@ def test_extend_command_produces_u1(capsys, U1):
     assert any("normalized to zero" in w for w in doc["warnings"])
 
 
-def test_extend_degree_mismatch_exit_1(capsys):
+def test_extend_degree_mismatch_exit_2(capsys):
     code, out, err = run(capsys, "extend", "W-ex32", "--gen", "5:20")
-    assert code == 1
+    assert code == 2
+    assert err == "error: extension degree mismatch: 5 * 20 != |z| + 1 = 120\n"
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        # 2 * 21 = |y1| + 1, but x2_2^21 in d(y1) makes d(d(z)) nonzero
+        (["--gen", "2:21", "--closing", "y1"], "d ∘ d = 0 on generators"),
+        (["--gen", "60:2", "--closing", "x1"], "extension degree mismatch: 60 * 2 != |x1| + 1 = 11"),
+    ],
+    ids=["breaks-d-squared", "degree-mismatch"],
+)
+def test_extend_refuses_arguments_that_break_the_model(capsys, argv, check):
+    code, out, err = run(capsys, "extend", "V-ex31", *argv)
+    assert code == 2
+    assert err.startswith("error: ") and check in err
+    assert out == ""
 
 
 def test_reproduce_ex31(capsys):

@@ -198,13 +198,14 @@ def test_split_ranks_enumerate_no_basis_and_share_the_core(monkeypatch):
 
 
 def _leibniz_columns(cx, k):
-    """columns(k) from one Leibniz expansion per basis monomial."""
-    pk = cx.packing(k + 1)
+    """columns(k) from one Leibniz expansion of each whole basis monomial
+    P + A, not from the templates of the active words A."""
+    pk = cx.view.packing(k + 1)
     out = {}
     for mono_ in cx.basis(k):
-        image = cx.view.d_coded(pk.unpack(mono_))
+        image = cx.view.d(pk, mono_)
         if image:
-            out[mono_] = {pk.pack(t): c for t, c in image.items()}
+            out[mono_] = image
     return out
 
 
@@ -223,8 +224,11 @@ def test_packed_fields_are_as_wide_as_the_degree_needs():
     # bound 256 and reads columns(127) in it, while rank(127) uses bound 128
     m = _odd_closed_model()
     cx = cohomology_module._Complex(m)
-    pk = cx.packing(601)
-    assert pk.unpack(pk.pack((0, 300, 2, 1))) == (0, 300, 2, 1)
+    pk = cx.view.packing(601)
+    x, _, w, _ = m.generators
+    x300w = mono((x, 300), (w, 1))
+    assert pk.monomial(pk.packed(x300w)) == x300w
+    assert pk.packed(x300w) == 300 << pk.shifts[0] | 1 << pk.shifts[2]
     for k in (126, 127, 128, 129, 599, 600, 601):
         assert cx.rank(k) == linalg.rank(coboundary_matrix(m, k)), k
         assert {c: dict(col) for c, col in cx.columns(k).items()} == _leibniz_columns(cx, k), k
@@ -420,7 +424,7 @@ def _window_residues_independent(m, k, monos):
     win = cx.window(k)
     residues = []
     for mo in monos:
-        packed = win.packing.pack(cx.view.encode(mo))
+        packed = win.packing.packed(mo)
         cid = win.comp_of_k.get(packed)
         if cid is None:
             residues.append({packed: Q(1)})
@@ -442,8 +446,9 @@ def _dense_solve_coboundary(m, k, rhs):
 
 
 def _local_block(m, rhs):
-    view = m._coded
-    return cohomology_module._block(view, [view.encode(mo) for mo in rhs.monomials()])
+    view = m._packed
+    pk = view.packing(rhs.homogeneous_degree())
+    return cohomology_module._block(view, pk, view.pack(pk, rhs.monomials()))
 
 
 @pytest.mark.parametrize("label", ["V-ex31", "W-ex32", "E3", "E5", "E7", "U3", "U6", "U8"])
@@ -477,8 +482,8 @@ def _draw_pools(label, k):
     cx = complex_for(m)
     # descending packed ints are basis order
     active = sorted((g for c in cx.window(k).components for g in c.rows_k), reverse=True)
-    unpack, decode = cx.packing(k + 1).unpack, cx.view.decode
-    return m, [decode(unpack(b)) for b in cx.basis(k)], [decode(unpack(g)) for g in active]
+    monomial = cx.view.packing(k + 1).monomial
+    return m, [monomial(b) for b in cx.basis(k)], [monomial(g) for g in active]
 
 
 @settings(derandomize=True, deadline=timedelta(seconds=5), max_examples=150)
@@ -694,10 +699,9 @@ def test_class_positions_round_trip_through_the_anchor_table(label, k, cut):
     interleaved = len({cid < 0 for cid in win.owners}) == 2
     assert interleaved or any(c.dim_h > 1 for c in win.components) or h.linear_parts()
     # anchors are packed degree-k monomials in basis order
-    decode, unpack = win.cx.view.decode, win.packing.unpack
     assert all(a > b for a, b in zip(win.anchors, win.anchors[1:]))
     in_order = iter(h.model.basis(k))
-    assert all(decode(unpack(a)) in in_order for a in win.anchors)
+    assert all(win.packing.monomial(a) in in_order for a in win.anchors)
     _assert_layout_round_trips(h)
 
 
@@ -726,9 +730,9 @@ def test_windows_name_monomials_by_packed_ints(label, k, cut):
     # packed degree-k ones; no window, built or derived, keeps a position index
     m = load_builtin(label)
     cx = cohomology_module._Complex(m)
-    unpack, decode = cx.packing(k + 1).unpack, cx.view.decode
+    monomial = cx.view.packing(k + 1).monomial
     for mono_, _ in (row for col in cx.columns(k).values() for row in col):
-        assert decode(unpack(mono_)).degree == k + 1
+        assert monomial(mono_).degree == k + 1
     win = cx.window(k)
     derived = win.below(cut)
     assert derived is not win

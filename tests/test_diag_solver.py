@@ -1,5 +1,7 @@
+import importlib.util
 from fractions import Fraction as Q
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -370,3 +372,38 @@ def test_extraction_refuses_a_model_that_fails_validation():
     good = SullivanModel([x, y, w], {"y": P.monomial(mono((x, 2)))}, label="good")
     with pytest.raises(ModelError, match="bad fails validation"):
         extract_cross_constraints(good, bad)
+
+
+# (lifts, verdict digest) of tools/lift_pass.py for every builtin: any change
+# to them is a change of output, to be explained where it is made
+LIFT_PASS = {
+    "V-ex31": (3, "a80fb8ee941599ef"),
+    "W-ex32": (5, "7f62a7fe32abec30"),
+    "U1": (12, "3435378acb639453"),
+    "U2": (14, "e0945f51ee305b79"),
+    "U3": (36, "68e1146aa1e57e25"),
+    "U4": (40, "4a09f3d1628c7e16"),
+    "U5": (96, "810fe310f0bfb26a"),
+    "U6": (104, "a65d2093ea63da8f"),
+    "U7": (112, "96e1bf945196022d"),
+    "U8": (120, "63da9f593df75692"),
+    "E2": (5, "7f62a7fe32abec30"),
+    "E3": (9, "f9e5f7ba4e8ac4a0"),
+    "E4": (17, "bd5dc906e61cb8f5"),
+    "E5": (33, "af29e38aeeebc19c"),
+    "E6": (65, "9172e886977ea024"),
+    "E7": (129, "e7d9d7865e595ac7"),
+}
+
+
+def test_the_corpus_lift_pass_keeps_its_verdict_digests():
+    path = Path(__file__).resolve().parents[1] / "tools" / "lift_pass.py"
+    spec = importlib.util.spec_from_file_location("lift_pass", path)
+    lift_pass = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lift_pass)
+    got = {}
+    for label in BUILTIN_LABELS:
+        verdicts = lift_verify(solve(extract_constraints(load_builtin(label))))
+        assert all(ok for _, ok, _ in verdicts), label
+        got[label] = (len(verdicts), lift_pass.verdict_digest(verdicts))
+    assert got == LIFT_PASS
