@@ -147,7 +147,7 @@ class Polynomial:
         if terms:
             for m, c in terms.items():
                 if c:
-                    self._terms[m] = Q(c)
+                    self._terms[m] = c if type(c) is Fraction else Q(c)
 
     @classmethod
     def zero(cls) -> "Polynomial":

@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .algebra import Generator, Monomial, Polynomial, Q, poincare_series
+from .algebra import ONE, Generator, Monomial, Polynomial, Q, _Packing, poincare_series
 from .cohomology import CohomologyClass, class_of, solve_coboundary
-from .model import CochainMorphism, SullivanModel, _ImagePowers
+from .model import CochainMorphism, SullivanModel, _add_scaled, _ImagePowers, _PackedModel
 
 
 class ShapeError(ValueError):
@@ -56,7 +56,7 @@ class GradedLinearMap:
                     f"got {len(mat)}x{len(mat[0]) if mat else 0}"
                 )
             if any(any(x for x in row) for row in mat):
-                clean[d] = [[Q(x) for x in row] for row in mat]
+                clean[d] = [[x if type(x) is Fraction else Q(x) for x in row] for row in mat]
         self.blocks = clean
 
     @classmethod
@@ -76,7 +76,7 @@ class GradedLinearMap:
                     f"diagonal entry for degree {d} needs exactly one generator "
                     f"on each side (source has {ns}, target has {nt})"
                 )
-            blocks[d] = [[Q(c)]]
+            blocks[d] = [[c]]
         return cls(source, target, blocks)
 
     @classmethod
@@ -97,16 +97,19 @@ class GradedLinearMap:
         ]
 
     def apply_gen(self, g: Generator) -> Polynomial:
+        return Polynomial({Monomial(((w, 1),)): c for w, c in self._column(g)})
+
+    def _column(self, g: Generator) -> list[tuple[Generator, Fraction]]:
+        """(w, c) for each term c·w of ξ(g), c nonzero, in target order."""
         mat = self.blocks.get(g.degree)
         if mat is None:
-            return Polynomial.zero()
+            return []
         j = self.source.gens_of_degree(g.degree).index(g)
-        return Polynomial(
-            {
-                Monomial(((w, 1),)): mat[i][j]
-                for i, w in enumerate(self.target.gens_of_degree(g.degree))
-            }
-        )
+        return [
+            (w, mat[i][j])
+            for i, w in enumerate(self.target.gens_of_degree(g.degree))
+            if mat[i][j]
+        ]
 
     def diagonal_entries(self) -> dict[int, Fraction]:
         """Per-degree scalars (for diagonal source/target); zero when absent."""
@@ -196,31 +199,36 @@ def try_lift(xi: GradedLinearMap) -> LiftResult:
     below |v|; inconsistency yields the obstruction class in
     H^{|v|+1}(ΛW^{<=|v|-1}).  One table of image powers serves every stage:
     d(v) involves only generators of lower degree, whose images are final.
-    Raises ModelError when either model fails validation.
+    The table is opened at |top generator| + 1, so it never widens during
+    the lift, and the stages stay packed in it: ξ(v), θ(d v), the
+    right-hand side and the image ξ(v) + u.  A `Polynomial` is built only
+    for a nonzero right-hand side, which `solve_coboundary` and `class_of`
+    take, and for the images of the returned morphism.  That morphism keeps
+    the table and each stage's θ(d v), and its check evaluates d'(θ v) afresh
+    from each final image.  Raises ModelError when either model fails
+    validation.
     """
     source, target = xi.source, xi.target
     source.require_valid()
     target.require_valid()
     images: dict[str, Polynomial] = {}
-    theta = _ImagePowers(source, target, images)
-    for v in source.generators:
+    top = source.top_degree + 1  # the degree of the last θ(d v)
+    theta = _ImagePowers(source, target, images, top)
+    tgt = target._packed
+    pk = theta.packing(top)
+    theta_d: list[dict[int, Fraction]] = []
+    for i, v in enumerate(source.generators):
         n1 = v.degree
-        xi_v = xi.apply_gen(v)
-        dv = source.differential(v)
-        # ξv is linear, so d'(ξv) = Σ c·d'(w) from the stored differentials
-        d_xi_v = sum(
-            (c * target.differential(w.linear_generator()) for w, c in xi_v.terms()),
-            Polynomial.zero(),
-        )
-        rhs = theta(dv) - d_xi_v
-        if rhs.is_zero():
-            u = Polynomial.zero()
-        else:
+        theta_dv = theta.packed(source.differential(v))
+        theta_d.append(theta_dv)
+        image, rhs = _linear_stage(xi, tgt, pk, v, theta_dv)
+        if rhs:
             trunc = target.truncate(n1 - 1)
-            u = solve_coboundary(trunc, n1 + 1, rhs)
+            rhs_poly = tgt.polynomial(pk, rhs)
+            u = solve_coboundary(trunc, n1 + 1, rhs_poly)
             if u is None:
-                cls = class_of(trunc, n1 + 1, rhs)
-                coords = ", ".join(f"{i}: {c}" for i, c in cls.coords.items())
+                cls = class_of(trunc, n1 + 1, rhs_poly)
+                coords = ", ".join(f"{j}: {c}" for j, c in cls.coords.items())
                 return LiftResult(
                     obstruction=Obstruction(
                         degree=n1,
@@ -233,8 +241,33 @@ def try_lift(xi: GradedLinearMap) -> LiftResult:
                         ),
                     )
                 )
-        images[v.name] = xi_v + u
-    return LiftResult(morphism=CochainMorphism(source, target, images))
+            _add_scaled(image, ONE, tgt.pack_poly(pk, u))
+        theta.put(i, image)
+    for i, v in enumerate(source.generators):
+        images[v.name] = tgt.polynomial(pk, theta.power(i, 1))
+    return LiftResult(morphism=CochainMorphism._from_table(source, target, theta, theta_d))
+
+
+def _linear_stage(
+    xi: GradedLinearMap,
+    tgt: _PackedModel,
+    pk: _Packing,
+    v: Generator,
+    theta_dv: dict[int, Fraction],
+) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    """ξ(v) and the right-hand side θ(d v) - d'(ξ v) of v's stage, packed in
+    pk.  ξ(v) = Σ c·w is linear, so d'(ξ v) = Σ c·d'(w), from the packed
+    differentials of the target generators."""
+    d_gens = tgt.differentials(pk)
+    xi_v: dict[int, Fraction] = {}
+    rhs = dict(theta_dv)
+    for w, c in xi._column(v):
+        k = tgt.index[w]
+        xi_v[1 << pk.shifts[k]] = c
+        dw = d_gens.get(k)
+        if dw:
+            _add_scaled(rhs, -c, dw)
+    return xi_v, rhs
 
 
 def is_coherent(xi: GradedLinearMap) -> tuple[bool, LiftResult]:
@@ -262,12 +295,13 @@ def invert_coherent(
         inv_blocks[d] = inv
     inv_xi = GradedLinearMap(xi.target, xi.source, inv_blocks)
     inv_images: dict[str, Polynomial] = {}
-    inv_theta = _ImagePowers(xi.target, xi.source, inv_images)
+    # the back-substitution's table, handed on to the inverse morphism
+    inv_theta = _ImagePowers(xi.target, xi.source, inv_images, xi.target.top_degree + 1)
     for w in xi.target.generators:
         lin = inv_xi.apply_gen(w)  # ξ^{-1}(w) in the source generators
         junk = theta.apply(lin) - Polynomial.generator(w)  # decomposable, lower gens
         inv_images[w.name] = lin - inv_theta(junk)
-    return inv_xi, CochainMorphism(xi.target, xi.source, inv_images)
+    return inv_xi, CochainMorphism._from_table(xi.target, xi.source, inv_theta)
 
 
 @dataclass(frozen=True)

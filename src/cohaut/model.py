@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Mapping
 
 from .algebra import (
@@ -62,7 +63,8 @@ class SullivanModel:
     """The pair (ΛV, d): free graded-commutative algebra with differential."""
 
     __slots__ = (
-        "generators", "label", "warnings", "_diff", "_by_name", "_key", "_hash", "_view", "_report",
+        "generators", "label", "warnings", "_diff", "_by_name", "_by_degree", "_key", "_hash",
+        "_view", "_report",
     )
 
     def __init__(
@@ -95,6 +97,7 @@ class SullivanModel:
             ),
         )
         self._hash = hash(self._key)
+        self._by_degree: dict[int, tuple[Generator, ...]] | None = None
         self._view: _PackedModel | None = None
         self._report: ValidationReport | None = None
 
@@ -130,7 +133,14 @@ class SullivanModel:
         return [g.degree for g in self.generators]
 
     def gens_of_degree(self, d: int) -> tuple[Generator, ...]:
-        return tuple(g for g in self.generators if g.degree == d)
+        table = self._by_degree
+        if table is None:
+            # generators are sorted by degree; built on first use, since
+            # most truncations never ask
+            table = self._by_degree = {
+                e: tuple(same) for e, same in groupby(self.generators, key=lambda g: g.degree)
+            }
+        return table.get(d, ())
 
     @property
     def is_diagonal(self) -> bool:
@@ -251,7 +261,7 @@ class _PackedModel:
     degree bound the one packing of that bound (see the packed kernel in
     algebra.py) with the Leibniz table of d in it."""
 
-    __slots__ = ("label", "gens", "degs", "index", "diff", "_bounds")
+    __slots__ = ("label", "gens", "degs", "index", "diff", "_bounds", "_diffs")
 
     def __init__(self, model: SullivanModel):
         self.label = model.label
@@ -261,6 +271,7 @@ class _PackedModel:
         # d of each active generator, by generator index
         self.diff = {i: model._diff[g.name] for i, g in enumerate(self.gens) if g.name in model._diff}
         self._bounds: dict[int, tuple[_Packing, list]] = {}
+        self._diffs: dict[int, dict[int, dict[int, Fraction]]] = {}
 
     def packing(self, degree: int) -> _Packing:
         """The packing of monomials of degree <= `degree` (one per bound)."""
@@ -284,6 +295,16 @@ class _PackedModel:
             ]
             entry = self._bounds.setdefault(bound, (pk, table))
         return entry
+
+    def differentials(self, pk: _Packing) -> dict[int, dict[int, Fraction]]:
+        """d(g) packed in pk, one of this view's packings, by generator index
+        of each active generator g.  Built on first use: the views of the
+        truncations that only `solve_coboundary` and `class_of` see never
+        need it."""
+        out = self._diffs.get(pk.dmax)
+        if out is None:
+            out = self._diffs[pk.dmax] = {i: self.pack_poly(pk, dg) for i, dg in self.diff.items()}
+        return out
 
     def pack(self, pk: _Packing, monos: Iterable[Monomial]) -> list[int]:
         """The monomials packed in pk; ModelError for a generator outside the model."""
@@ -416,9 +437,12 @@ class CochainMorphism:
 
     The defining identities (degree preservation and d-commutation on every
     generator) are verified at construction time, never assumed.  The
-    morphism evaluates θ from its own table of image powers (`_ImagePowers`),
-    built from the images it was given: the check d'(θ g) = θ(d g) reads it,
-    and so does every later `apply`.
+    morphism evaluates θ from one table of image powers (`_ImagePowers`):
+    the check d'(θ g) = θ(d g) reads it, and so does every later `apply`.
+    A morphism built from images opens its own table; one that a lift or an
+    inversion built (`_from_table`) keeps that table, so no image power is
+    computed twice, and the check still evaluates d'(θ g) afresh by the
+    Leibniz d on each final image.
     """
 
     __slots__ = ("source", "target", "images", "_theta")
@@ -429,22 +453,48 @@ class CochainMorphism:
         target: SullivanModel,
         images: Mapping[str, Polynomial],
     ):
+        extra = set(images) - {g.name for g in source.generators}
+        if extra:
+            raise MorphismError(f"images given for unknown generators {sorted(extra)}")
         self.source = source
         self.target = target
-        imgs = {}
+        self.images = {g.name: images.get(g.name, Polynomial.zero()) for g in source.generators}
+        self._theta = _ImagePowers(source, target, self.images, source.top_degree + 1)
+        self._check()
+
+    @classmethod
+    def _from_table(
+        cls,
+        source: SullivanModel,
+        target: SullivanModel,
+        theta: "_ImagePowers",
+        theta_d: list[dict[int, Fraction]] | None = None,
+    ) -> "CochainMorphism":
+        """The morphism whose generator images a lift or an inversion has
+        built in the table theta, whose `images` holds all of them; it keeps
+        the table.  theta_d[i], when given, is θ(d g) for the generator g of
+        index i, as the lift's stage computed it from the same table."""
+        self = object.__new__(cls)
+        self.source = source
+        self.target = target
+        self.images = theta.images
+        self._theta = theta
+        self._check(theta_d)
+        return self
+
+    def _check(self, theta_d: list[dict[int, Fraction]] | None = None) -> None:
+        """Check that every image has its generator's degree and that
+        d'(θ g) = θ(d g) for every generator g.  d'(θ g) is the Leibniz d of
+        the packed image; θ(d g) is theta_d[i] when given, else evaluated
+        from the table."""
+        source, theta = self.source, self._theta
         for g in source.generators:
-            img = images.get(g.name, Polynomial.zero())
+            img = self.images[g.name]
             if img and img.homogeneous_degree() != g.degree:
                 raise MorphismError(
                     f"image of {g.name} has degree {img.homogeneous_degree()}, expected {g.degree}"
                 )
-            imgs[g.name] = img
-        extra = set(images) - {g.name for g in source.generators}
-        if extra:
-            raise MorphismError(f"images given for unknown generators {sorted(extra)}")
-        self.images = imgs
-        theta = self._theta = _ImagePowers(source, target, imgs)
-        tgt = target._packed
+        tgt = self.target._packed
         for i, g in enumerate(source.generators):
             pk = theta.packing(g.degree + 1)
             lhs: dict[int, Fraction] = {}
@@ -453,10 +503,13 @@ class CochainMorphism:
                     _add_scaled(lhs, c, tgt.d(pk, w))
             except ModelError as exc:
                 raise MorphismError(f"image of {g.name}: {exc}") from None
-            try:
-                rhs = theta.packed(source.differential(g))
-            except ModelError as exc:
-                raise MorphismError(str(exc)) from None
+            if theta_d is not None:
+                rhs = theta_d[i]
+            else:
+                try:
+                    rhs = theta.packed(source.differential(g))
+                except ModelError as exc:
+                    raise MorphismError(str(exc)) from None
             if lhs != rhs:
                 raise MorphismError(
                     f"not a cochain morphism: d(f({g.name})) != f(d({g.name})) "
@@ -496,28 +549,34 @@ class _ImagePowers:
 
     `images` maps names of source generators to target polynomials.  It may
     be partial and may grow between calls, as it does over the stages of a
-    lift, as long as an image, once read, does not change.  Each entry
+    lift, as long as an image, once read, does not change.  An image may
+    also enter the table packed (`put`), as a lift's stage computes it; it
+    must then go into `images` too before the table widens.  Each entry
     θ(x)^e of the table is computed once, on first use:
     - a one-term image c·w gives c^e·(w·e), the packed w times e, which is 0
       when w has an odd letter and e >= 2;
     - any other image gives the cached θ(x)^{e-1} times θ(x).
     θ of a word x1^e1···xk^ek is then the product of k table entries.  The
-    table lives in one packing of ΛW, the widest a call has needed; a call of
-    higher degree widens it and starts the table afresh.
+    table lives in one packing of ΛW, opened for `degree` and after that
+    the widest a call has needed; a call of higher degree widens it and
+    starts the table afresh.  A morphism, a lift and an inversion open
+    their tables at |top generator| + 1, the degree of the last θ(d v), so
+    a table never widens, and never starts afresh, while it is filled.
     """
 
-    __slots__ = ("_src", "_tgt", "_images", "_pk", "_powers")
+    __slots__ = ("_src", "_tgt", "images", "_pk", "_powers")
 
     def __init__(
         self,
         source: SullivanModel,
         target: SullivanModel,
         images: Mapping[str, Polynomial],
+        degree: int = 0,
     ):
         self._src = source._packed
         self._tgt = target._packed
-        self._images = images
-        self._pk = self._tgt.packing(0)
+        self.images = images
+        self._pk = self._tgt.packing(degree)
         self._powers: dict[tuple[int, int], dict[int, Fraction]] = {}
 
     def packing(self, degree: int) -> _Packing:
@@ -526,6 +585,11 @@ class _ImagePowers:
             self._pk = self._tgt.packing(degree)
             self._powers = {}
         return self._pk
+
+    def put(self, i: int, img: dict[int, Fraction]) -> None:
+        """Enter θ(x) for the source generator x of index i, packed in the
+        table's packing, before any power of it is read."""
+        self._powers[(i, 1)] = img
 
     def power(self, i: int, e: int) -> dict[int, Fraction]:
         """θ(x)^e, packed in the table's packing, for the source generator x
@@ -537,7 +601,7 @@ class _ImagePowers:
         pk = self._pk
         img = powers.get((i, 1))
         if img is None:
-            img = powers[(i, 1)] = self._tgt.pack_poly(pk, self._images[self._src.gens[i].name])
+            img = powers[(i, 1)] = self._tgt.pack_poly(pk, self.images[self._src.gens[i].name])
             if e == 1:
                 return img
         if len(img) == 1:

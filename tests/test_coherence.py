@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
+import cohaut.coherence as coherence_module
 from cohaut.algebra import Generator, Monomial, Polynomial
-from cohaut.cohomology import coboundary_matrix
+from cohaut.cohomology import coboundary_matrix, solve_coboundary
 from cohaut import linalg
+from cohaut.corpus import load_builtin
+from cohaut.diagsolve import extract_constraints, lift_verify, solve
 from cohaut.coherence import (
     GradedLinearMap,
     ShapeError,
@@ -14,7 +18,14 @@ from cohaut.coherence import (
     is_coherent,
     try_lift,
 )
-from cohaut.model import CochainMorphism, ModelError, SullivanModel, compose, identity
+from cohaut.model import (
+    CochainMorphism,
+    ModelError,
+    MorphismError,
+    SullivanModel,
+    compose,
+    identity,
+)
 from cohaut.whitehead import naturality_check
 
 P = Polynomial
@@ -127,6 +138,126 @@ def test_lifts_pass_naturality_at_all_generator_degrees(V, W):
         lift = try_lift(GradedLinearMap.diagonal(m, entries)).morphism
         for n in sorted({g.degree for g in m.generators}):
             assert naturality_check(lift, n).ok
+
+
+# --- packed stages against Polynomial arithmetic --------------------------------------
+
+
+def _swap_model():
+    """a, b:2, y, c:3, v:5 with d y = a^2, d c = b^2 and d v = a^3 = d(a y).
+    The swap a <-> b, y <-> c with ξ(v) = 2v meets the nonzero, exact
+    right-hand side b^3 - 2a^3 = d(b c - 2a y) at v's stage."""
+    a, b, y, c, v = (Generator(n, d) for n, d in (("a", 2), ("b", 2), ("y", 3), ("c", 3), ("v", 5)))
+    diff = {
+        "y": P.monomial(mono((a, 2))),
+        "c": P.monomial(mono((b, 2))),
+        "v": P.monomial(mono((a, 3))),
+    }
+    m = SullivanModel([a, b, y, c, v], diff, label="swap")
+    swap = [[Q(0), Q(1)], [Q(1), Q(0)]]
+    return m, GradedLinearMap(m, m, {2: swap, 3: swap, 5: [[Q(2)]]})
+
+
+def _theta_reference(images, p):
+    """θ(p) by successive products of the images, in Polynomial arithmetic."""
+    out = P.zero()
+    for m, c in p.terms():
+        term = P.unit(c)
+        for g, e in m.factors:
+            for _ in range(e):
+                term = term * images[g.name]
+        out = out + term
+    return out
+
+
+def _reference_lift(xi):
+    """The stage-wise lift in public Polynomial arithmetic: the right-hand
+    side θ(d v) - Σ c·d'(w) of each stage run, and the images (None when a
+    stage is obstructed)."""
+    source, target = xi.source, xi.target
+    images, stages = {}, []
+    for v in source.generators:
+        xi_v = xi.apply_gen(v)
+        rhs = _theta_reference(images, source.differential(v))
+        for w, c in xi_v.terms():
+            rhs = rhs - c * target.differential(w.linear_generator())
+        stages.append(rhs)
+        u = solve_coboundary(target.truncate(v.degree - 1), v.degree + 1, rhs)
+        if u is None:
+            return stages, None
+        images[v.name] = xi_v + u
+    return stages, images
+
+
+def test_packed_stages_agree_with_polynomial_arithmetic(monkeypatch):
+    stages = []
+    packed_stage = coherence_module._linear_stage
+
+    def spy(xi, tgt, pk, v, theta_dv):
+        xi_v, rhs = packed_stage(xi, tgt, pk, v, theta_dv)
+        stages.append(tgt.polynomial(pk, rhs))
+        return xi_v, rhs
+
+    monkeypatch.setattr(coherence_module, "_linear_stage", spy)
+    counts = {"ok": 0, "obstructed": 0, "nonzero_rhs": 0}
+
+    def check(xi):
+        stages.clear()
+        result = try_lift(xi)
+        ref_stages, ref_images = _reference_lift(xi)
+        assert stages == ref_stages
+        assert result.ok == (ref_images is not None)
+        if result.ok:
+            assert result.morphism.images == ref_images
+        counts["ok" if result.ok else "obstructed"] += 1
+        counts["nonzero_rhs"] += sum(1 for rhs in stages if rhs)
+        return result
+
+    rng = random.Random(19)
+    for label in ("V-ex31", "W-ex32", "E3", "U3"):
+        m = load_builtin(label)
+        for vec, ok, _ in lift_verify(solve(extract_constraints(m))):
+            xi = GradedLinearMap.diagonal(m, dict(zip(sorted({g.degree for g in m.generators}), vec)))
+            assert check(xi).ok == ok
+        for _ in range(4):
+            entries = {g.degree: rng.choice((1, -1, 2, Q(1, 2))) for g in m.generators}
+            check(GradedLinearMap.diagonal(m, entries))
+    m, xi = _swap_model()
+    a, b, y, c, v = (m.generator(name) for name in "abycv")
+    # u = b c - 2a y, the correction of v's stage
+    assert check(xi).morphism.images["v"] == (
+        P.generator(v, 2) + P.monomial(mono((b, 1), (c, 1))) - P.monomial(mono((a, 1), (y, 1)), 2)
+    )
+    assert counts["ok"] > 0 and counts["obstructed"] > 0 and counts["nonzero_rhs"] > 0
+
+
+def test_the_closing_check_catches_a_wrong_stage_correction(monkeypatch):
+    m, xi = _swap_model()
+    assert try_lift(xi).ok
+    right = coherence_module.solve_coboundary
+
+    def doubled(trunc, k, rhs):
+        u = right(trunc, k, rhs)
+        return None if u is None else 2 * u
+
+    monkeypatch.setattr(coherence_module, "solve_coboundary", doubled)
+    with pytest.raises(MorphismError, match=r"d\(f\(v\)\) != f\(d\(v\)\)"):
+        try_lift(xi)
+
+
+def test_the_closing_check_catches_a_wrong_back_substitution(monkeypatch):
+    m, xi = _swap_model()
+    theta = try_lift(xi).morphism
+    assert compose(theta, invert_coherent(xi, theta)[1]) == identity(m)
+
+    class Doubled(coherence_module._ImagePowers):
+        def __call__(self, p):
+            return 2 * super().__call__(p)
+
+    # only the back-substitution evaluates through the inverse's new table
+    monkeypatch.setattr(coherence_module, "_ImagePowers", Doubled)
+    with pytest.raises(MorphismError, match=r"d\(f\(v\)\) != f\(d\(v\)\)"):
+        invert_coherent(xi, theta)
 
 
 # --- invert_coherent -----------------------------------------------------------------
