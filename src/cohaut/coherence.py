@@ -203,19 +203,18 @@ def try_lift(xi: GradedLinearMap) -> LiftResult:
     the lift, and the stages stay packed in it: ξ(v), θ(d v), the
     right-hand side and the image ξ(v) + u.  A `Polynomial` is built only
     for a nonzero right-hand side, which `solve_coboundary` and `class_of`
-    take, and for the images of the returned morphism.  That morphism keeps
-    the table and each stage's θ(d v), and its check evaluates d'(θ v) afresh
-    from each final image.  Raises ModelError when either model fails
-    validation.
+    take, and for each stage's image, which goes into the public `images`
+    as it enters the table.  The returned morphism keeps the table and each
+    stage's θ(d v), and its check evaluates d'(θ v) afresh from each final
+    image.  Raises ModelError when either model fails validation.
     """
     source, target = xi.source, xi.target
     source.require_valid()
     target.require_valid()
     images: dict[str, Polynomial] = {}
-    top = source.top_degree + 1  # the degree of the last θ(d v)
-    theta = _ImagePowers(source, target, images, top)
+    theta = _ImagePowers(source, target, images)
     tgt = target._packed
-    pk = theta.packing(top)
+    pk = theta.packing(source.top_degree + 1)  # the table's own packing
     theta_d: list[dict[int, Fraction]] = []
     for i, v in enumerate(source.generators):
         n1 = v.degree
@@ -243,8 +242,7 @@ def try_lift(xi: GradedLinearMap) -> LiftResult:
                 )
             _add_scaled(image, ONE, tgt.pack_poly(pk, u))
         theta.put(i, image)
-    for i, v in enumerate(source.generators):
-        images[v.name] = tgt.polynomial(pk, theta.power(i, 1))
+        images[v.name] = tgt.polynomial(pk, image)
     return LiftResult(morphism=CochainMorphism._from_table(source, target, theta, theta_d))
 
 
@@ -256,17 +254,14 @@ def _linear_stage(
     theta_dv: dict[int, Fraction],
 ) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
     """ξ(v) and the right-hand side θ(d v) - d'(ξ v) of v's stage, packed in
-    pk.  ξ(v) = Σ c·w is linear, so d'(ξ v) = Σ c·d'(w), from the packed
-    differentials of the target generators."""
-    d_gens = tgt.differentials(pk)
+    pk.  ξ(v) = Σ c·w is linear, so d'(ξ v) = Σ c·d'(w), each d'(w) read
+    from the target's Leibniz table."""
     xi_v: dict[int, Fraction] = {}
     rhs = dict(theta_dv)
     for w, c in xi._column(v):
         k = tgt.index[w]
         xi_v[1 << pk.shifts[k]] = c
-        dw = d_gens.get(k)
-        if dw:
-            _add_scaled(rhs, -c, dw)
+        _add_scaled(rhs, -c, tgt.d_gen(pk, k))
     return xi_v, rhs
 
 
@@ -296,7 +291,7 @@ def invert_coherent(
     inv_xi = GradedLinearMap(xi.target, xi.source, inv_blocks)
     inv_images: dict[str, Polynomial] = {}
     # the back-substitution's table, handed on to the inverse morphism
-    inv_theta = _ImagePowers(xi.target, xi.source, inv_images, xi.target.top_degree + 1)
+    inv_theta = _ImagePowers(xi.target, xi.source, inv_images)
     for w in xi.target.generators:
         lin = inv_xi.apply_gen(w)  # ξ^{-1}(w) in the source generators
         junk = theta.apply(lin) - Polynomial.generator(w)  # decomposable, lower gens

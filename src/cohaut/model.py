@@ -261,7 +261,7 @@ class _PackedModel:
     degree bound the one packing of that bound (see the packed kernel in
     algebra.py) with the Leibniz table of d in it."""
 
-    __slots__ = ("label", "gens", "degs", "index", "diff", "_bounds", "_diffs")
+    __slots__ = ("label", "gens", "degs", "index", "diff", "_bounds")
 
     def __init__(self, model: SullivanModel):
         self.label = model.label
@@ -271,7 +271,6 @@ class _PackedModel:
         # d of each active generator, by generator index
         self.diff = {i: model._diff[g.name] for i, g in enumerate(self.gens) if g.name in model._diff}
         self._bounds: dict[int, tuple[_Packing, list]] = {}
-        self._diffs: dict[int, dict[int, dict[int, Fraction]]] = {}
 
     def packing(self, degree: int) -> _Packing:
         """The packing of monomials of degree <= `degree` (one per bound)."""
@@ -296,15 +295,15 @@ class _PackedModel:
             entry = self._bounds.setdefault(bound, (pk, table))
         return entry
 
-    def differentials(self, pk: _Packing) -> dict[int, dict[int, Fraction]]:
-        """d(g) packed in pk, one of this view's packings, by generator index
-        of each active generator g.  Built on first use: the views of the
-        truncations that only `solve_coboundary` and `class_of` see never
-        need it."""
-        out = self._diffs.get(pk.dmax)
-        if out is None:
-            out = self._diffs[pk.dmax] = {i: self.pack_poly(pk, dg) for i, dg in self.diff.items()}
-        return out
+    def d_gen(self, pk: _Packing, i: int) -> dict[int, Fraction]:
+        """d of the generator of index i, packed in pk, one of this view's
+        packings: the terms of its row of the Leibniz table, the row of its
+        field."""
+        field = pk.shifts[i]
+        for shift, _, _, terms in self._bounds[pk.dmax][1]:
+            if shift == field:
+                return {t: c for t, _, c in terms}
+        return {}
 
     def pack(self, pk: _Packing, monos: Iterable[Monomial]) -> list[int]:
         """The monomials packed in pk; ModelError for a generator outside the model."""
@@ -459,7 +458,7 @@ class CochainMorphism:
         self.source = source
         self.target = target
         self.images = {g.name: images.get(g.name, Polynomial.zero()) for g in source.generators}
-        self._theta = _ImagePowers(source, target, self.images, source.top_degree + 1)
+        self._theta = _ImagePowers(source, target, self.images)
         self._check()
 
     @classmethod
@@ -550,18 +549,18 @@ class _ImagePowers:
     `images` maps names of source generators to target polynomials.  It may
     be partial and may grow between calls, as it does over the stages of a
     lift, as long as an image, once read, does not change.  An image may
-    also enter the table packed (`put`), as a lift's stage computes it; it
-    must then go into `images` too before the table widens.  Each entry
-    θ(x)^e of the table is computed once, on first use:
+    also enter the table packed (`put`), as a lift's stage computes it, next
+    to its entry in `images`.  Each entry θ(x)^e of the table is computed
+    once, on first use:
     - a one-term image c·w gives c^e·(w·e), the packed w times e, which is 0
       when w has an odd letter and e >= 2;
     - any other image gives the cached θ(x)^{e-1} times θ(x).
     θ of a word x1^e1···xk^ek is then the product of k table entries.  The
-    table lives in one packing of ΛW, opened for `degree` and after that
-    the widest a call has needed; a call of higher degree widens it and
-    starts the table afresh.  A morphism, a lift and an inversion open
-    their tables at |top generator| + 1, the degree of the last θ(d v), so
-    a table never widens, and never starts afresh, while it is filled.
+    table lives in one packing of ΛW, opened at |top source generator| + 1,
+    the degree of the last θ(d v), so it never widens, and never starts
+    afresh, while a morphism, a lift or an inversion fills it.  A later
+    call of higher degree widens it and starts the table afresh from
+    `images`.
     """
 
     __slots__ = ("_src", "_tgt", "images", "_pk", "_powers")
@@ -571,12 +570,11 @@ class _ImagePowers:
         source: SullivanModel,
         target: SullivanModel,
         images: Mapping[str, Polynomial],
-        degree: int = 0,
     ):
         self._src = source._packed
         self._tgt = target._packed
         self.images = images
-        self._pk = self._tgt.packing(degree)
+        self._pk = self._tgt.packing(source.top_degree + 1)
         self._powers: dict[tuple[int, int], dict[int, Fraction]] = {}
 
     def packing(self, degree: int) -> _Packing:

@@ -514,6 +514,35 @@ def test_a_u8_lift_fills_each_power_once(monkeypatch):
     assert max(e for table in tables for _, e in table) >= 60
 
 
+def test_tables_above_degree_128_never_widen_while_filled(monkeypatch):
+    """x:2, z:129 with d z = x^65: the last θ(d z) has degree 130, above the
+    narrowest packing, so a table opened too narrow would widen mid-lift."""
+    widened = []
+    packing = _ImagePowers.packing
+
+    def spy_packing(self, degree):
+        before = self._pk
+        pk = packing(self, degree)
+        if pk is not before:
+            widened.append(degree)
+        return pk
+
+    monkeypatch.setattr(_ImagePowers, "packing", spy_packing)
+    x, z = Generator("x", 2), Generator("z", 129)
+    m = SullivanModel([x, z], {"z": P.monomial(mono((x, 65)))}, label="x65")
+    s = Q(2)
+    xi = GradedLinearMap.diagonal(m, {2: s, 129: s**65})
+    lift = try_lift(xi)
+    assert lift.ok
+    theta = lift.morphism
+    assert theta.images == {"x": P.generator(x, s), "z": P.generator(z, s**65)}
+    inv_xi, inv = invert_coherent(xi, theta)
+    assert inv.images == {"x": P.generator(x, 1 / s), "z": P.generator(z, 1 / s**65)}
+    assert compose(theta, inv) == identity(m)
+    assert compose(inv, theta) == identity(m)
+    assert widened == []
+
+
 def test_a_power_is_multiplied_out_once_per_table(monkeypatch):
     x, w = Generator("x", 2), Generator("w", 4)
     m = SullivanModel([x, w], {}, label="free2")
