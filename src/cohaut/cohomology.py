@@ -17,8 +17,9 @@ product is an integer sum.  The packed int is the only name of a monomial: a
 coboundary column names the packed monomials it hits, and a window's blocks,
 anchors and class queries name degree-k monomials the same way, so nothing
 keeps a basis position.  Positions are class coordinates only.  A window
-enumerates its degree-k basis once, in basis order, to lay out its inert
-classes, and no window enumerates basis(k-1).
+built on a complex enumerates its degree-k basis once, in basis order, to lay
+out its inert classes; a derived window (below) reads its basis off its
+parent's layout, and no window enumerates basis(k-1).
 
 Every column comes from a template.  A generator is closed when d of it is 0
 and active otherwise.  A monomial with an active factor is P·A, with P a
@@ -65,7 +66,7 @@ therefore derived from ΛV's window at k (`CohomologyBasis.below`): blocks with
 every member in ΛV^{<=c} carry over unchanged, and only blocks touching a
 dropped monomial are split again over their kept members.  The result is the
 window the truncation's own complex would build, class for class; it keeps
-ΛV's complex and packing and enters no cache.
+ΛV's packing, holds no complex and enters no cache.
 
 Questions about a few degree-k monomials (`residues_independent`,
 `solve_coboundary`) are answered on their local block, not on a window.  The
@@ -83,8 +84,12 @@ interleaving, so the free-variables-zero solution is the one the whole
 degree-k system gives; blocks with a zero right-hand side contribute 0.
 
 All public results (dimensions, representative order, class coordinates) are
-deterministic.  Cohomology is computed per (model, degree) on demand and
-memoized with bounded caches; insertion uses atomic insert-if-absent
+deterministic.  Cohomology is computed per (model, degree) on demand.  Two
+bounded caches hold what is read again: the complexes (`complex_for`, the 32
+last models) and, per complex, the 4 last windows; a complex also keeps its
+ranks and active-word templates.  Bases and columns are rebuilt on each call.
+A window holds no reference to its complex, so an evicted complex is freed
+as soon as nothing else refers to it.  Insertion uses atomic insert-if-absent
 semantics, so concurrent readers are safe.
 """
 
@@ -132,19 +137,19 @@ class _LRU:
 
 
 class _Complex:
-    """Cached bases, coboundary columns, ranks and windows of one model's
-    cochain complex, on the model's packed view.
+    """Ranks, active-word templates and windows of one model's cochain
+    complex, on the model's packed view.
 
     Monomials are packed ints (`algebra._Packing`).  Everything at degree k
     (basis(k), columns(k) and the window at k) uses the view's packing of
-    degree k + 1; the window at k also reads columns(k - 1) in it.
+    degree k + 1; the window at k also reads columns(k - 1) in it.  Bases and
+    columns are built on each call and not kept: a window keeps the two
+    column dicts its blocks read, and a rank keeps only its int.
     """
 
     def __init__(self, model: SullivanModel):
         self.model = model
         self.view = view = model._packed
-        self._bases = _LRU(8)
-        self._columns = _LRU(6)
         self._windows = _LRU(4)
         self._ranks: dict[int, int] = {}
         # templates of the active words, by (packing bound, word degree)
@@ -162,10 +167,7 @@ class _Complex:
         """Packed basis(degree), in the packing of degree + 1."""
         if degree < 0:
             return ()
-        return self._bases.get_or_create(
-            degree,
-            lambda: _enumerate(self.view.degs, degree, self.view.packing(degree + 1).shifts),
-        )
+        return _enumerate(self.view.degs, degree, self.view.packing(degree + 1).shifts)
 
     def basis_size(self, degree: int) -> int:
         """len(basis(degree)), counted from the Poincaré series."""
@@ -176,19 +178,14 @@ class _Complex:
     ) -> dict[int, list[tuple[int, Fraction]]]:
         """Sparse coboundary columns of basis(degree), packed in `pk` (by
         default the packing of degree + 1): each nonzero column, keyed by its
-        monomial, as (degree-(k+1) monomial, coefficient) rows."""
+        monomial, as (degree-(k+1) monomial, coefficient) rows.  Built from
+        the templates of the active words: the monomial P + A (P closed, A
+        active) has the rows P + T, signed by the mask of the template term T
+        of d(A) (see the module docstring)."""
         if degree < 0:
             return {}
         if pk is None:
             pk = self.view.packing(degree + 1)
-        return self._columns.get_or_create(
-            (pk.dmax, degree), lambda: self._build_columns(degree, pk)
-        )
-
-    def _build_columns(self, degree: int, pk: _Packing) -> dict[int, list[tuple[int, Fraction]]]:
-        """Every column, from the templates of the active words: the monomial
-        P + A (P closed, A active) has the rows P + T, signed by the mask of
-        the template term T of d(A) (see the module docstring)."""
         degs = self.view.degs
         closed_degs = tuple(degs[i] for i in self._closed)
         closed_shifts = tuple(pk.shifts[i] for i in self._closed)
@@ -451,10 +448,11 @@ def _coboundary_rank(cols: dict[int, list[tuple[int, Fraction]]]) -> int:
 class _Window:
     """Cohomology data of one model at one degree k (uses degrees k-1..k+1).
 
-    Monomials are named by their packed ints in `packing`, that of degree
-    k+1 (see `_Complex`), at every degree k-1..k+1.  A window derived by
-    `below` keeps the parent's complex and packing; its degree-k basis is a
-    subsequence of the parent's.
+    A window is a value: its packing, its degree and its blocks, with no
+    reference to the complex it came from.  Monomials are named by their
+    packed ints in `packing`, that of degree k+1 (see `_Complex`), at every
+    degree k-1..k+1.  A window derived by `below` keeps the parent's
+    packing; its degree-k basis is a subsequence of the parent's.
 
     The class layout is the table `anchors`, in basis order (descending):
     anchor j is an inert monomial (`owners[j] == -1`, one class) or the first
@@ -462,10 +460,9 @@ class _Window:
     start at position `starts[j]`.
     """
 
-    def __init__(self, cx: _Complex, k: int, components: list[_Component], basis_k):
-        self.cx = cx
+    def __init__(self, packing: _Packing, k: int, components: list[_Component], basis_k):
+        self.packing = packing
         self.degree = k
-        self.packing = cx.view.packing(k + 1)
         self.components = components
         self.comp_of_k: dict[int, int] = {}
         for cid, comp in enumerate(components):
@@ -485,8 +482,8 @@ class _Window:
 
     @classmethod
     def build(cls, cx: _Complex, k: int) -> "_Window":
-        comps = _components(cx.columns(k - 1, cx.view.packing(k + 1)), cx.columns(k))
-        return cls(cx, k, comps, cx.basis(k))
+        pk = cx.view.packing(k + 1)
+        return cls(pk, k, _components(cx.columns(k - 1, pk), cx.columns(k, pk)), cx.basis(k))
 
     def below(self, cut: int) -> "_Window":
         """The window of the truncation ΛV^{<=cut} at the same degree.
@@ -503,11 +500,13 @@ class _Window:
         When no generator degree lies in (cut, k+1], no monomial of degree
         <= k+1 holds a dropped generator, so the truncation's window equals
         this one block for block, and this window itself is returned.
+
+        The kept degree-k basis comes from this window's own layout (its
+        inert anchors and its block members), not from a new enumeration.
         """
-        cx = self.cx
-        degs = cx.view.degs
-        p = bisect.bisect_right(degs, cut)
-        if p == len(degs) or degs[p] > self.degree + 1:
+        gens = self.packing.gens
+        p = bisect.bisect_right(gens, cut, key=operator.attrgetter("degree"))
+        if p == len(gens) or gens[p].degree > self.degree + 1:
             return self
         dropped = self.packing.low(p)
         comps: list[_Component] = []
@@ -528,8 +527,10 @@ class _Window:
                     sub_k[g] = comp._cols_k_src[g]
         comps.extend(_components(sub_km1, sub_k))
         comps.sort(key=lambda comp: comp.rows_k[0], reverse=True)
-        kept_k = (m for m in cx.basis(self.degree) if not m & dropped)
-        return _Window(cx, self.degree, comps, kept_k)
+        kept_k = [m for m, cid in zip(self.anchors, self.owners) if cid < 0 and not m & dropped]
+        kept_k.extend(m for m in self.comp_of_k if not m & dropped)
+        kept_k.sort(reverse=True)
+        return _Window(self.packing, self.degree, comps, kept_k)
 
     # -- queries ----------------------------------------------------------------
 

@@ -3,7 +3,9 @@
 A model is a finite list of generators of degree >= 2 together with a
 degree +1 differential sending each generator to a decomposable polynomial.
 Models are immutable; equality and hashing are structural (generators plus
-differential), ignoring the label, so equal truncations share caches.
+differential), ignoring the label, so equal models share the caches keyed by
+model (the cohomology complexes).  A model keeps the truncation it returns for
+each cutoff, so every `truncate(n)` of one model is one object.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class SullivanModel:
 
     __slots__ = (
         "generators", "label", "warnings", "_diff", "_by_name", "_by_degree", "_key", "_hash",
-        "_view", "_report",
+        "_view", "_report", "_truncations",
     )
 
     def __init__(
@@ -100,6 +102,7 @@ class SullivanModel:
         self._by_degree: dict[int, tuple[Generator, ...]] | None = None
         self._view: _PackedModel | None = None
         self._report: ValidationReport | None = None
+        self._truncations: dict[int, SullivanModel] = {}
 
     # -- identity ------------------------------------------------------------
 
@@ -179,12 +182,16 @@ class SullivanModel:
     # -- construction helpers --------------------------------------------------
 
     def truncate(self, n: int) -> "SullivanModel":
-        """Sub-model ΛV^{<=n} with the restricted differential."""
+        """Sub-model ΛV^{<=n} with the restricted differential, built once
+        per cutoff n and kept (as `self` when nothing is cut)."""
         if n < 0:
             raise ModelError("truncation cutoff must be >= 0")
-        kept = tuple(g for g in self.generators if g.degree <= n)
-        if len(kept) == len(self.generators):
+        if n >= self.top_degree:
             return self
+        trunc = self._truncations.get(n)
+        if trunc is not None:
+            return trunc
+        kept = tuple(g for g in self.generators if g.degree <= n)
         kept_names = {g.name for g in kept}
         diff = {}
         for g in kept:
@@ -197,7 +204,7 @@ class SullivanModel:
                         f"differential of {g.name} leaves ΛV^(<={n}); parent is not minimal"
                     )
             diff[g.name] = dg
-        return SullivanModel(kept, diff, label=f"{self.label}<={n}")
+        return self._truncations.setdefault(n, SullivanModel(kept, diff, label=f"{self.label}<={n}"))
 
     def relabel(self, label: str) -> "SullivanModel":
         return SullivanModel(self.generators, self._diff, label=label, warnings=self.warnings)

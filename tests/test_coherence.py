@@ -98,6 +98,27 @@ def test_scaling_z_alone_obstructs_at_degree_119(V):
     assert "x1^12" in pivots.values()
 
 
+def test_an_obstructed_point_builds_one_truncation_per_stage_degree(monkeypatch):
+    fresh = load_builtin("V-ex31").relabel("fresh V")  # a model with no truncation yet
+    built: list[str] = []
+    init = SullivanModel.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.label)
+
+    monkeypatch.setattr(SullivanModel, "__init__", spy)
+    bad = dict(ONES)
+    bad[119] = 2
+    results = [try_lift(GradedLinearMap.diagonal(fresh, bad)) for _ in range(3)]
+    assert not any(r.ok for r in results)
+    truncations = [label for label in built if label.removeprefix(f"{fresh.label}<=").isdigit()]
+    assert f"{fresh.label}<=118" in truncations
+    assert len(truncations) == len(set(truncations))  # one model per cut
+    models = {id(r.obstruction.failure_class.basis.model) for r in results}
+    assert len(models) == 1
+
+
 def test_obstruction_soundness_no_correction_exists(V):
     # independent check: the stage equation d(u) = rhs has no solution at z,
     # via a dense solve over the full truncated complex

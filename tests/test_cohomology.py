@@ -1,5 +1,7 @@
 import functools
+import gc
 import importlib
+import weakref
 from datetime import timedelta
 from fractions import Fraction as Q
 
@@ -189,12 +191,49 @@ def test_kunneth_ranks_match_the_block_ranks_of_the_whole_model(label):
 def test_split_ranks_enumerate_no_basis_and_share_the_core(monkeypatch):
     monkeypatch.setattr(cohomology_module, "_COMPLEXES", cohomology_module._LRU(32))
     cx = complex_for(load_builtin("U3"))
+    core = cx.core
+    enumerated: list[tuple[int, ...]] = []  # the degrees of every enumeration
+    built: list[object] = []  # the complex of every columns call
+    enumerate_, columns = cohomology_module._enumerate, cohomology_module._Complex.columns
+
+    def spy_enumerate(degs, degree, shifts):
+        enumerated.append(degs)
+        return enumerate_(degs, degree, shifts)
+
+    def spy_columns(self, degree, pk=None):
+        built.append(self)
+        return columns(self, degree, pk)
+
+    monkeypatch.setattr(cohomology_module, "_enumerate", spy_enumerate)
+    monkeypatch.setattr(cohomology_module._Complex, "columns", spy_columns)
     for k in range(122):
         cx.rank(k)
-    assert not cx._bases._data and not cx._columns._data
-    assert cx.core is complex_for(load_builtin("E3"))
-    assert not cx.core._bases._data  # the core's ranks come from templates
+    # no basis of ΛV or of the core is enumerated: only closed monomials and
+    # active words, whose generators are a proper part of the core's
+    assert enumerated and cx.view.degs not in enumerated and core.view.degs not in enumerated
+    assert built and all(c is core for c in built)  # U3 builds no column of its own
+    assert core._templates  # the core's columns come from templates
+    assert core is complex_for(load_builtin("E3"))
     assert complex_for(load_builtin("E3")).core is None
+
+
+def test_an_evicted_complex_is_freed_without_a_collection(monkeypatch):
+    # a window holds no reference to its complex, so no cycle keeps an
+    # evicted complex alive until the garbage collector runs
+    monkeypatch.setattr(cohomology_module, "_COMPLEXES", cohomology_module._LRU(1))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cx = complex_for(load_builtin("V-ex31"))
+        ref = weakref.ref(cx)
+        window = cx.window(22)
+        assert window.dimension == 1  # the class of x1·x2
+        del cx, window
+        complex_for(load_builtin("W-ex32"))  # evicts V-ex31's complex
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _leibniz_columns(cx, k):

@@ -256,6 +256,17 @@ def test_truncations_validate(V, W):
             assert m.truncate(n).validate().ok
 
 
+def test_a_model_builds_each_truncation_once():
+    m = load_builtin("V-ex31")  # generator degrees 10, 12, 41, 43, 45, 119
+    assert m.truncate(40) is m.truncate(40)
+    assert m.truncate(119) is m and m.truncate(500) is m
+    assert 119 not in m._truncations and 500 not in m._truncations
+    # two cuts that keep the same generators are equal models with their own labels
+    a, b = m.truncate(13), m.truncate(40)
+    assert a == b and a is not b
+    assert (a.label, b.label) == (f"{m.label}<=13", f"{m.label}<=40")
+
+
 # --- extend_tower ----------------------------------------------------------------
 
 
