@@ -4,14 +4,19 @@ Monomials are words in graded generators, kept in a fixed global order
 (generator degree, then name).  Odd-degree generators anticommute and square
 to zero; even-degree generators commute.  All coefficients are exact
 `fractions.Fraction` values; no floating point is used anywhere.
+
+The basis of a graded piece (`basis`) is a view that stores no monomial: its
+size is a coefficient of the Poincaré series, and it ranks and unranks
+monomials against the same count table (`_series`) that prunes the
+enumeration.  Nothing here caches a basis.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Q = Fraction
@@ -460,12 +465,13 @@ class _Packing:
 
 def _enumerate(degs: tuple[int, ...], degree: int, shifts: tuple[int, ...]) -> tuple[int, ...]:
     """Packed monomials of degree `degree >= 0` in basis order (see
-    iter_basis), field i at bit offset shifts[i].  The generators may be a
+    `basis`), field i at bit offset shifts[i].  The generators may be a
     subsequence of a packing's, with that packing's shifts.
 
     The monomials of degree r in generators i.. are those of generators
     i+1.. of degree r - e·|x_i|, plus e·x_i, for e from high to low; each
     such list is built once per call and shared by every prefix reaching it.
+    `_Basis` reads the same order off the same counts without enumerating.
     """
     reach = _series(degs, degree)  # nonzero iff the remaining degree is reachable
     lists: dict[tuple[int, int], list[int]] = {}
@@ -499,30 +505,88 @@ def _enumerate(degs: tuple[int, ...], degree: int, shifts: tuple[int, ...]) -> t
 # --- bases and coordinates ----------------------------------------------------
 
 
-def iter_basis(
-    generators: Sequence[Generator], degree: int
-) -> Iterator[Monomial]:
-    """All canonical monomials of the given degree, in basis order.
+class _Basis(Sequence[Monomial]):
+    """The canonical monomials of degree `degree` in `generators`, in basis
+    order, as a read-only sequence that stores none of them.
+
+    Ranking and unranking (Nijenhuis and Wilf, *Combinatorial Algorithms*,
+    ch. 13) read the count table that prunes `_enumerate`: table[j][r] is
+    the number of degree-r monomials in generators j.., so exponent e of
+    generator j, with degree r left, heads a run of table[j+1][r - e|x_j|]
+    consecutive monomials.  Only iteration enumerates.
+    """
+
+    __slots__ = ("_pk", "_degs", "_degree", "_table")
+
+    def __init__(self, generators: Sequence[Generator], degree: int):
+        if degree < 0:
+            raise AlgebraError("negative degree")
+        gens = _sorted_gens(generators)
+        for g, h in zip(gens, gens[1:]):
+            if g == h:
+                raise AlgebraError(f"generator {g.name} repeats in the basis generators")
+        self._pk = _Packing(gens, degree)
+        self._degs = tuple(g.degree for g in gens)
+        self._degree = degree
+        self._table = _series(self._degs, degree)
+
+    def __len__(self) -> int:
+        return self._table[0][self._degree]
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return map(self._pk.monomial, _enumerate(self._degs, self._degree, self._pk.shifts))
+
+    def __getitem__(self, i: int) -> Monomial:
+        i = range(len(self))[operator.index(i)]  # IndexError as on a tuple; no slices
+        word, r = 0, self._degree
+        for j, d in enumerate(self._degs):
+            below = self._table[j + 1]
+            for e in range(min(1, r // d) if d % 2 else r // d, -1, -1):
+                if i < below[r - e * d]:
+                    break
+                i -= below[r - e * d]
+            word += e << self._pk.shifts[j]
+            r -= e * d
+        return self._pk.monomial(word)
+
+    def rank(self, word: int) -> int:
+        """The index of the packed degree-`degree` monomial `word`: the number
+        of monomials before it, those with a higher exponent of some generator
+        and the same exponents of the generators before that one."""
+        pk, i, r = self._pk, 0, self._degree
+        for j, d in enumerate(self._degs):
+            below = self._table[j + 1]
+            e = word >> pk.shifts[j] & pk.masks[j]
+            # of the table[j][r] monomials left, those with exponent <= e come last
+            i += self._table[j][r] - sum(below[r - f * d] for f in range(e + 1))
+            r -= e * d
+        return i
+
+    def __contains__(self, m) -> bool:
+        # a Monomial is canonical, so it is here when its degree and generators are
+        return isinstance(m, Monomial) and m.degree == self._degree and all(
+            g in self._pk.index for g, _ in m.factors)
+
+    def index(self, m) -> int:
+        """The position of the monomial m; AlgebraError, a ValueError, when m
+        is not a Monomial, has another degree or a generator not listed."""
+        if m not in self:
+            raise AlgebraError(f"monomial {m} not in the degree-{self._degree} basis")
+        return self.rank(self._pk.packed(m))
+
+
+def basis(generators: Sequence[Generator], degree: int) -> Sequence[Monomial]:
+    """The ordered monomial basis of the degree-`degree` graded piece.
 
     Order is graded-lex: higher powers of earlier (lower-degree) generators
-    come first.  basis(gens, 0) yields only the unit.
+    come first, and basis(gens, 0) holds only the unit.  The result is a
+    view: its length comes from the Poincaré series, indexing unranks,
+    `index` ranks, `in` reads a monomial's degree and generators, and only
+    iteration enumerates.  It compares equal to nothing but itself (convert
+    with tuple()), and takes no slices.  Repeated generators raise
+    AlgebraError.
     """
-    if degree < 0:
-        raise AlgebraError("negative degree")
-    gens = _sorted_gens(generators)
-    pk = _Packing(gens, degree)
-    for packed in _enumerate(tuple(g.degree for g in gens), degree, pk.shifts):
-        yield pk.monomial(packed)
-
-
-@lru_cache(maxsize=256)
-def _basis_cached(gens: tuple[Generator, ...], degree: int) -> tuple[Monomial, ...]:
-    return tuple(iter_basis(gens, degree))
-
-
-def basis(generators: Sequence[Generator], degree: int) -> tuple[Monomial, ...]:
-    """Ordered monomial basis of the degree-`degree` graded piece."""
-    return _basis_cached(_sorted_gens(generators), degree)
+    return _Basis(generators, degree)
 
 
 def coordinates(
@@ -533,21 +597,8 @@ def coordinates(
         raise AlgebraError(
             f"polynomial has degree {p.homogeneous_degree()}, expected {degree}"
         )
-    b = basis(generators, degree)
-    index = {m: i for i, m in enumerate(b)}
+    b = _Basis(generators, degree)
     vec = [ZERO] * len(b)
     for m, c in p._terms.items():
-        try:
-            vec[index[m]] = c
-        except KeyError:
-            raise AlgebraError(f"monomial {m} not in the degree-{degree} basis")
+        vec[b.index(m)] = c
     return vec
-
-
-def from_coordinates(
-    generators: Sequence[Generator], vec: Sequence[Fraction], degree: int
-) -> Polynomial:
-    b = basis(generators, degree)
-    if len(vec) != len(b):
-        raise AlgebraError(f"vector length {len(vec)} != basis size {len(b)}")
-    return Polynomial({m: Q(c) for m, c in zip(b, vec) if c})

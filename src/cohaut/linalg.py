@@ -33,10 +33,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return [[sum((x * y for x, y in zip(row, col)), Q(0)) for col in bt] for row in a]
 
 
-def matvec(a: Matrix, v: Sequence[Fraction]) -> Vector:
-    return [sum((x * y for x, y in zip(row, v)), Q(0)) for row in a]
-
-
 def rref(m: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int], int]:
     """Reduced row-echelon form; returns (reduced, pivot columns, rank)."""
     a = [list(row) for row in m]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
     ONE,
@@ -150,7 +150,7 @@ class SullivanModel:
         degs = self.degrees()
         return len(degs) == len(set(degs))
 
-    def basis(self, degree: int) -> tuple[Monomial, ...]:
+    def basis(self, degree: int) -> Sequence[Monomial]:
         return basis(self.generators, degree)
 
     def coordinates(self, p: Polynomial, degree: int):

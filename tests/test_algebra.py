@@ -14,10 +14,10 @@ from cohaut.algebra import (
     basis,
     canonicalize,
     coordinates,
-    from_coordinates,
-    iter_basis,
+    _enumerate,
     _mul_poly,
     _Packing,
+    _sorted_gens,
     multiply,
     poincare_series,
 )
@@ -282,7 +282,7 @@ def test_products_of_high_powers_widen_the_fields():
 
 
 def test_basis_no_degree_41_monomials_in_even_generators():
-    assert basis([x1, x2], 41) == ()
+    assert tuple(basis([x1, x2], 41)) == ()
 
 
 def test_basis_degree_119_contains_the_expected_word():
@@ -291,7 +291,7 @@ def test_basis_degree_119_contains_the_expected_word():
 
 
 def test_basis_degree_zero_is_unit():
-    assert basis(GENS, 0) == (Monomial(()),)
+    assert tuple(basis(GENS, 0)) == (Monomial(()),)
 
 
 def test_basis_order_is_graded_lex_front_loaded():
@@ -331,8 +331,93 @@ def test_poincare_series_matches_the_oracle_past_its_first_table():
     assert poincare_series((), 10)[:3] == (1, 0, 0)
 
 
-def test_iter_basis_agrees_with_basis():
-    assert tuple(iter_basis(GENS, 96)) == basis(GENS, 96)
+def test_basis_iteration_equals_indexing():
+    b = basis(GENS, 96)
+    assert list(b) == [b[i] for i in range(len(b))]
+
+
+_ODD = [Generator(f"o{d}", d) for d in (3, 5, 7, 9, 11, 13, 15)]
+_EVEN = [Generator(f"e{d}", d) for d in (2, 4, 6)]
+_MIXED = [Generator("a", 2), Generator("b", 3), Generator("c", 6)]
+_RANKED = (
+    [("odd", _ODD, d) for d in (0, 1, 27, 36, 63)]
+    + [("even", _EVEN, d) for d in (0, 1, 30, 60, 127, 128, 129, 130)]
+    + [("x1x2", [x1, x2], d) for d in (41, 120)]
+    + [("mixed", GENS, d) for d in (0, 41, 96, 119, 120)]
+    # a degree-2 generator across the packing bound 128
+    + [("abc", _MIXED, d) for d in range(126, 131)]
+    + [("tower", TOWER_GENS, d) for d in range(126, 131)]
+    + [("empty", [], d) for d in (0, 5)]
+)
+
+
+@pytest.mark.parametrize(
+    "gens, k", [(gens, k) for _, gens, k in _RANKED], ids=[f"{n}-{k}" for n, _, k in _RANKED]
+)
+def test_basis_ranks_and_unranks_every_index_in_enumeration_order(gens, k):
+    b = basis(gens, k)
+    ordered = _sorted_gens(gens)
+    pk = _Packing(ordered, k)
+    expected = [pk.monomial(w) for w in _enumerate(tuple(g.degree for g in ordered), k, pk.shifts)]
+    assert len(b) == len(expected) and bool(b) == bool(expected)
+    for i, m in enumerate(expected):
+        assert b[i] == m and b[i - len(b)] == m
+        assert b.index(b[i]) == i and b.rank(pk.packed(m)) == i and m in b
+    if expected:
+        assert b[-1] == expected[-1]
+    for i in (len(b), -len(b) - 1):
+        with pytest.raises(IndexError):
+            b[i]
+    # index raises ValueError on a non-Monomial, a wrong degree and a foreign generator
+    bad = ["x1", Polynomial.unit(), Monomial(((Generator("w", k + 2), 1),))]
+    if k >= 2:
+        bad.append(Monomial(((Generator("w", k), 1),)))
+    for m in bad:
+        assert m not in b
+        with pytest.raises(ValueError):
+            b.index(m)
+
+
+def test_basis_rejects_repeated_generators():
+    # a repeated generator once gave basis([x1, x1], 10) == (x1, x1)
+    for k in (0, 10, 20):
+        with pytest.raises(AlgebraError, match="x1 repeats"):
+            basis([x1, x2, x1], k)
+    with pytest.raises(AlgebraError, match="y1 repeats"):
+        coordinates([y1, y1], Polynomial.generator(y1), 41)
+
+
+def test_basis_views_never_enumerate_outside_iteration(monkeypatch):
+    import cohaut.algebra as algebra
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _enumerate(*args)
+
+    monkeypatch.setattr(algebra, "_enumerate", spy)
+    gens = [Generator("s2", 2), Generator("s3", 3), Generator("s4", 4), Generator("s6", 6)]
+    b = basis(gens, 77)
+    m = b[len(b) // 3]
+    assert len(b) > 100 and b and b.index(m) == len(b) // 3 and m in b
+    p = Polynomial.monomial(m, 2) + Polynomial.monomial(b[-1], -1)
+    assert coordinates(gens, p, 77)[len(b) // 3] == 2
+    assert calls == []
+    assert list(b)[len(b) // 3] == m and len(calls) == 1
+
+
+def test_seeded_draws_from_a_basis_equal_draws_from_its_tuple():
+    # random.sample iterates a population of at most 277 and indexes a larger
+    # one when it draws 40, so cover both sides
+    small, large = basis(_EVEN, 60), basis(_EVEN, 128)
+    assert 40 <= len(small) <= 277 < len(large)
+    for b in (small, large):
+        for seed in range(5):
+            view_draws = random.Random(seed)
+            tuple_draws = random.Random(seed)
+            assert view_draws.sample(b, 40) == tuple_draws.sample(tuple(b), 40)
+            assert view_draws.choice(b) == tuple_draws.choice(tuple(b))
 
 
 # --- coordinates ----------------------------------------------------------------
@@ -368,4 +453,4 @@ def test_coordinates_round_trip_on_bases():
         for i, m in enumerate(b):
             vec = coordinates(GENS, Polynomial.monomial(m), d)
             assert vec[i] == 1 and sum(1 for v in vec if v) == 1
-            assert from_coordinates(GENS, vec, d) == Polynomial.monomial(m)
+            assert Polynomial({b[j]: c for j, c in enumerate(vec) if c}) == Polynomial.monomial(m)
