@@ -445,10 +445,6 @@ class _Packing:
             packed &= (1 << shift) - 1
         return Monomial(tuple(factors))
 
-    def low(self, i: int) -> int:
-        """The mask of the fields of generators i.. (all bits when i == 0)."""
-        return (1 << self.shifts[i - 1]) - 1 if i else -1
-
     def koszul(self, packed: int) -> int:
         """The mask K with sign(P·X) = (-1)^{popcount(P & K)} for packed P and
         X that share no odd letter: each odd letter x of X passes the odd

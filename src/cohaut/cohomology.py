@@ -17,9 +17,8 @@ product is an integer sum.  The packed int is the only name of a monomial: a
 coboundary column names the packed monomials it hits, and a window's blocks,
 anchors and class queries name degree-k monomials the same way, so nothing
 keeps a basis position.  Positions are class coordinates only.  A window
-built on a complex enumerates its degree-k basis once, in basis order, to lay
-out its inert classes; a derived window (below) reads its basis off its
-parent's layout, and no window enumerates basis(k-1).
+enumerates its degree-k basis once, in basis order, to lay out its inert
+classes, and no window enumerates basis(k-1).
 
 Every column comes from a template.  A generator is closed when d of it is 0
 and active otherwise.  A monomial with an active factor is P·A, with P a
@@ -55,18 +54,15 @@ rank d_k = Σ_j dim(ΛF)^j · rank d'_{k-j} (the Künneth formula).  A complex w
 free generators takes its ranks that way from the complex of the core model
 ΛV' (`_Complex.core`, from `complex_for`, so equal cores share their ranks),
 and dim(ΛF)^j from the Poincaré series: the rank path of such a model
-enumerates no basis of ΛV and builds no column.  Windows are built on ΛV
-itself as before.
+enumerates no basis of ΛV and builds no column.  Windows are built on ΛV's
+own columns.
 
-A truncation ΛV^{<=c} is a sub-complex whose bases are order-preserving
-subsequences of ΛV's (generators are sorted by degree, so its monomials are
-those whose packed fields of the generators of degree > c are zero, one
-bit-mask test).  Its window at degree k is
-therefore derived from ΛV's window at k (`CohomologyBasis.below`): blocks with
-every member in ΛV^{<=c} carry over unchanged, and only blocks touching a
-dropped monomial are split again over their kept members.  The result is the
-window the truncation's own complex would build, class for class; it keeps
-ΛV's packing, holds no complex and enters no cache.
+A truncation ΛV^{<=c} is a model of its own (`SullivanModel.truncate`, one
+object per cutoff), so its cohomology has the one path every model has: its
+own complex, with its ranks and windows, in `complex_for`.  Equal cuts are
+equal models and share that complex.  Generators that only the dropped ones
+use become free in the cut, so its ranks may come from a core by the Künneth
+formula above.
 
 Questions about a few degree-k monomials (`residues_independent`,
 `solve_coboundary`) are answered on their local block, not on a window.  The
@@ -86,8 +82,9 @@ degree-k system gives; blocks with a zero right-hand side contribute 0.
 All public results (dimensions, representative order, class coordinates) are
 deterministic.  Cohomology is computed per (model, degree) on demand.  Two
 bounded caches hold what is read again: the complexes (`complex_for`, the 32
-last models) and, per complex, the 4 last windows; a complex also keeps its
-ranks and active-word templates.  Bases and columns are rebuilt on each call.
+last models, truncations and cores included) and, per complex, the 4 last
+windows; a complex also keeps its ranks and active-word templates.  Bases
+and columns are rebuilt on each call.
 A window holds no reference to its complex, so an evicted complex is freed
 as soon as nothing else refers to it.  Insertion uses atomic insert-if-absent
 semantics, so concurrent readers are safe.
@@ -280,9 +277,7 @@ class _Component:
 
     __slots__ = (
         "rows_k",
-        "cols_km1",
         "cols_k_members",
-        "_cols_km1_src",
         "_cols_k_src",
         "img_rows",
         "img_pivots",
@@ -292,13 +287,11 @@ class _Component:
     )
 
     def __init__(self, members_km1, members_k, cols_km1, cols_k):
-        self.cols_km1 = sorted(members_km1)
         self.rows_k = rows = sorted(members_k, reverse=True)  # basis order
-        self._cols_km1_src = cols_km1
         self._cols_k_src = cols_k
         n = len(rows)
         img_vecs = []
-        for c in self.cols_km1:
+        for c in sorted(members_km1):
             v = [_Q0] * n
             for r, val in cols_km1[c]:
                 v[self.row(r)] = val
@@ -451,8 +444,8 @@ class _Window:
     A window is a value: its packing, its degree and its blocks, with no
     reference to the complex it came from.  Monomials are named by their
     packed ints in `packing`, that of degree k+1 (see `_Complex`), at every
-    degree k-1..k+1.  A window derived by `below` keeps the parent's
-    packing; its degree-k basis is a subsequence of the parent's.
+    degree k-1..k+1.  It is built only by `build`, on the complex of its
+    model, a truncation included.
 
     The class layout is the table `anchors`, in basis order (descending):
     anchor j is an inert monomial (`owners[j] == -1`, one class) or the first
@@ -484,53 +477,6 @@ class _Window:
     def build(cls, cx: _Complex, k: int) -> "_Window":
         pk = cx.view.packing(k + 1)
         return cls(pk, k, _components(cx.columns(k - 1, pk), cx.columns(k, pk)), cx.basis(k))
-
-    def below(self, cut: int) -> "_Window":
-        """The window of the truncation ΛV^{<=cut} at the same degree.
-
-        Generators are sorted by degree, so ΛV^{<=cut} is spanned by the
-        monomials with zero packed fields for the generators of degree > cut
-        (one bit-mask test); its bases are the order-preserving subsequences
-        of the parent's.  d maps ΛV^{<=cut} into itself (the truncation is a
-        sub-complex), so a block of the parent with every member kept is a
-        block of the truncation with the same matrices; only the blocks that
-        touch a dropped monomial are split again, over their kept members.
-        Needs a minimal model (one that `truncate` accepts).
-
-        When no generator degree lies in (cut, k+1], no monomial of degree
-        <= k+1 holds a dropped generator, so the truncation's window equals
-        this one block for block, and this window itself is returned.
-
-        The kept degree-k basis comes from this window's own layout (its
-        inert anchors and its block members), not from a new enumeration.
-        """
-        gens = self.packing.gens
-        p = bisect.bisect_right(gens, cut, key=operator.attrgetter("degree"))
-        if p == len(gens) or gens[p].degree > self.degree + 1:
-            return self
-        dropped = self.packing.low(p)
-        comps: list[_Component] = []
-        sub_km1: dict[int, list[tuple[int, Fraction]]] = {}
-        sub_k: dict[int, list[tuple[int, Fraction]]] = {}
-        for comp in self.components:
-            if not any(g & dropped for g in comp.rows_k) and not any(
-                c & dropped for c in comp.cols_km1
-            ):
-                comps.append(comp)
-                continue
-            # a kept monomial's column lies in the truncation: take it as is
-            for c in comp.cols_km1:
-                if not c & dropped:
-                    sub_km1[c] = comp._cols_km1_src[c]
-            for g in comp.cols_k_members:
-                if not g & dropped:
-                    sub_k[g] = comp._cols_k_src[g]
-        comps.extend(_components(sub_km1, sub_k))
-        comps.sort(key=lambda comp: comp.rows_k[0], reverse=True)
-        kept_k = [m for m, cid in zip(self.anchors, self.owners) if cid < 0 and not m & dropped]
-        kept_k.extend(m for m in self.comp_of_k if not m & dropped)
-        kept_k.sort(reverse=True)
-        return _Window(self.packing, self.degree, comps, kept_k)
 
     # -- queries ----------------------------------------------------------------
 
@@ -575,9 +521,6 @@ class _Window:
             if row[loc]
         }
 
-    def image_rank(self) -> int:
-        return sum(len(c.img_rows) for c in self.components)
-
     def representative_vec(self, pos: int) -> dict[int, Fraction]:
         if not 0 <= pos < self.dimension:
             raise IndexError(f"class position {pos} out of range 0..{self.dimension - 1}")
@@ -596,32 +539,20 @@ class _Window:
 class CohomologyBasis:
     """Basis of H^k(model): deterministic representatives and coordinates.
 
-    Polynomials are converted at this boundary, in the window's packing,
-    which for a basis from `below` is the parent's (its fields agree on the
-    generator prefix); `class_of` takes d in the model first, so a generator
-    outside the model raises ModelError.  Positions are class coordinates:
-    class i is the i-th in the window's layout.
+    The window is that of the model's own complex (`complex_for`), for a
+    truncation as for any model.  Polynomials are converted at this
+    boundary, in the window's packing; `class_of` takes d in the model
+    first, so a generator outside the model raises ModelError.  Positions
+    are class coordinates: class i is the i-th in the window's layout.
     """
 
     __slots__ = ("model", "degree", "dimension", "_window")
 
-    def __init__(self, model: SullivanModel, degree: int, window: _Window | None = None):
+    def __init__(self, model: SullivanModel, degree: int):
         self.model = model
         self.degree = degree
-        self._window = window if window is not None else complex_for(model).window(degree)
+        self._window = complex_for(model).window(degree)
         self.dimension = self._window.dimension
-
-    def below(self, cut: int) -> "CohomologyBasis":
-        """H^k(model.truncate(cut)), derived from this basis's window (see
-        `_Window.below`) instead of built from the truncation's complex."""
-        trunc = self.model.truncate(cut)
-        if trunc is self.model:
-            return self
-        return CohomologyBasis(trunc, self.degree, self._window.below(cut))
-
-    def image_rank(self) -> int:
-        """dim B^k, the rank of d into degree k."""
-        return self._window.image_rank()
 
     def representative(self, i: int) -> Polynomial:
         monomial = self._window.packing.monomial

@@ -20,31 +20,34 @@ has degree <= n-1.  `build_wes` therefore refuses a model that fails
 validation (`SullivanModel.require_valid` raises ModelError naming every
 failed check), a d(v) with a linear term among them.
 
-Γ^{n+1} = H^{n+1}(ΛV^{<=n-1}) is read off the H^{n+1}(ΛV) window
-(`CohomologyBasis.below`) rather than built from the truncation's own complex.
-This is exact: d maps ΛV^{<=n-1} into itself and its degree-(n+1) basis is an
-order-preserving subsequence of ΛV's, so the blocks of the window that avoid
-the dropped generators are blocks of the truncation, and the few that do not
-are split again over their kept monomials.
+Every dimension of a node comes from coboundary ranks (`_Complex.rank`, each
+computed once per complex and degree) and from Poincaré-series counts of the
+bases (`_Complex.basis_size`), so no dimension needs a window:
 
-Away from the generator degrees no window is built at all.  Where
-V^n = V^{n+1} = 0, exactness of 0 = V^n -> Γ^{n+1} -> H^{n+1}(ΛV) -> V^{n+1} = 0
-makes i an isomorphism, b and j vanish, and the node needs one number:
-dim Γ^{n+1} = dim H^{n+1}(ΛV) = dim (ΛV)^{n+1} - rank d_n - rank d_{n+1},
-read from the per-degree coboundary ranks of the complex (`_Complex.rank`),
-each computed once per pass, and from the Poincaré-series count of
-(ΛV)^{n+1} (`_Complex.basis_size`), so such a node enumerates no basis of ΛV
-itself.  The other nodes build H^{n+1}(ΛV), its Γ^{n+1} and, where V^n != 0,
-H^n(ΛV) for the linear parts of j; at an n with V^n = 0, j is zero and
-H^n(ΛV) is not needed.
+    dim H^{n+1}(ΛV)  = dim (ΛV)^{n+1} - rank d_n - rank d_{n+1},
+    dim Γ^{n+1}      = the same on the complex of the cut ΛV^{<=n-1},
+    dim ker(i)       = rank d_n on ΛV - rank d_n on ΛV^{<=n-1}.
+
+Where V^n = V^{n+1} = 0, no monomial of degree n or n+1 holds a generator
+of degree >= n, so ΛV^{<=n-1} and ΛV have the same bases in degrees n and
+n+1 and the same d on them: ΛV's ranks stand in for the cut's, and no cut is
+made.  Then dim Γ^{n+1} = dim H^{n+1}(ΛV) and ker(i) = 0, as exactness of
+0 = V^n -> Γ^{n+1} -> H^{n+1}(ΛV) -> V^{n+1} = 0 requires; b and j vanish.
+
+Γ^{n+1} is the cohomology of the cut's own complex (`complex_for` of
+`m.truncate(n-1)`), as for any other query on a truncation.  Windows are
+built only at the n with V^n != 0, two per node: Γ^{n+1} on the cut, for the
+b-columns [d(v)], and H^n(ΛV), for the linear parts of j.  At an n with
+V^n = 0, b and j are zero and no window is needed.
 
 `check_exactness` reads windows only at the n with V^n != 0, and there only
-H^{n+1}(ΛV) and the Γ^{n+1} derived from it.  Every class it computes is a
-[d(v)] or [d(ℓ)] with v, ℓ in V^n (b-fidelity, b ∘ j = 0, i ∘ b = 0); every
-other check compares ranks and dimensions stored in the nodes.  At an n with
-V^n = 0 the class checks are empty, so no window could change a verdict.  In
-the 120-degree range of the builtin models that leaves 6 to 14 degrees per
-model.
+the Γ^{n+1} windows `build_wes` built, still cached in the cuts' complexes.
+Every class it computes is a [d(v)] or [d(ℓ)] with v, ℓ in V^n: b-fidelity
+and b ∘ j = 0 in Γ^{n+1}, and i ∘ b = 0, that is [d(v)] = 0 in
+H^{n+1}(ΛV), decided by `solve_coboundary` on the local block of d(v) in ΛV,
+with no window.  Every other check compares ranks and dimensions stored in
+the nodes.  In the 120-degree range of the builtin models that leaves 6 to
+14 degrees per model.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from . import linalg
 from .algebra import Monomial, Polynomial, Q
-from .cohomology import CohomologyBasis, cohomology, complex_for
+from .cohomology import CohomologyBasis, cohomology, complex_for, solve_coboundary
 from .model import CochainMorphism, SullivanModel
 
 
@@ -81,7 +84,7 @@ class WhiteheadSequence:
 
     def gamma_basis(self, n: int) -> CohomologyBasis:
         """H^{n+1}(ΛV^{<=n-1}), the target of b^n."""
-        return cohomology(self.model, n + 1).below(n - 1)
+        return cohomology(self.model.truncate(n - 1), n + 1)
 
     def b_matrix(self, n: int) -> list[list[Fraction]]:
         """Dense matrix of b^n (rows: Γ^{n+1} classes, columns: V^n generators)."""
@@ -97,40 +100,29 @@ class WhiteheadSequence:
 
 
 def _node(m: SullivanModel, n: int) -> WESNode:
+    # dimensions from coboundary ranks; where V^n = V^{n+1} = 0, ΛV stands in
+    # for the cut (see the module docstring)
     gens = m.gens_of_degree(n)
-    if not gens and not m.gens_of_degree(n + 1):
-        # i is an isomorphism: dimensions from coboundary ranks, see the module docstring
-        cx = complex_for(m)
-        dim = cx.basis_size(n + 1) - cx.rank(n) - cx.rank(n + 1)
-        return WESNode(
-            n=n,
-            gens=(),
-            gamma_dim=dim,
-            h_dim=dim,
-            b_columns=(),
-            ker_i_dim=0,
-            rank_j=0,
-            j_parts=(),
-        )
-    h = cohomology(m, n + 1)
-    gamma = h.below(n - 1)
+    cut = m.truncate(n - 1) if gens or m.gens_of_degree(n + 1) else m
+    cx, cut_cx = complex_for(m), complex_for(cut)
     b_cols = []
-    for g in gens:
-        cls = gamma.class_of(m.differential(g))
-        b_cols.append(tuple(sorted(cls.coords.items())))
-    # dim ker i = dim B^{n+1}(ΛV) - dim B^{n+1}(ΛV^{<=n-1}), see the module docstring
-    ker_i = h.image_rank() - gamma.image_rank()
-    parts = cohomology(m, n).linear_parts() if gens else {}
+    parts: dict[int, dict[str, Fraction]] = {}
+    if gens:
+        gamma = cohomology(cut, n + 1)
+        for g in gens:
+            cls = gamma.class_of(m.differential(g))
+            b_cols.append(tuple(sorted(cls.coords.items())))
+        parts = cohomology(m, n).linear_parts()
     j_parts = tuple(
         (pos, tuple(sorted(d.items()))) for pos, d in sorted(parts.items())
     )
     return WESNode(
         n=n,
         gens=tuple(g.name for g in gens),
-        gamma_dim=gamma.dimension,
-        h_dim=h.dimension,
+        gamma_dim=cut_cx.basis_size(n + 1) - cut_cx.rank(n) - cut_cx.rank(n + 1),
+        h_dim=cx.basis_size(n + 1) - cx.rank(n) - cx.rank(n + 1),
         b_columns=tuple(b_cols),
-        ker_i_dim=ker_i,
+        ker_i_dim=cx.rank(n) - cut_cx.rank(n),
         rank_j=linalg.sparse_rank(parts.values()),
         j_parts=j_parts,
     )
@@ -210,8 +202,7 @@ def check_exactness(w: WhiteheadSequence) -> ExactnessReport:
         # every class query below is about some v in V^n and the other checks
         # read ranks stored in the node, so only V^n != 0 needs a window
         if node.gens:
-            h_up = cohomology(m, n + 1)
-            gamma = h_up.below(n - 1)
+            gamma = cohomology(m.truncate(n - 1), n + 1)
         # b-fidelity: stored columns must equal the defining classes [d(v)]
         detail = ""
         if len(node.b_columns) != len(node.gens):
@@ -260,8 +251,8 @@ def check_exactness(w: WhiteheadSequence) -> ExactnessReport:
         ok_ib = True
         detail = ""
         for g in node.gens:
-            cls = h_up.class_of(m.differential(g))
-            if not cls.is_zero():
+            # [d(g)] = 0 in H^{n+1}(ΛV): d(g) is a coboundary of ΛV
+            if solve_coboundary(m, n + 1, m.differential(g)) is None:
                 ok_ib = False
                 detail = f"i(b({g})) != 0"
                 break
@@ -316,7 +307,7 @@ def naturality_check(f: CochainMorphism, n: int) -> NaturalityReport:
     """Verify b' ∘ ξ = H^{n+1}(f|) ∘ b on V^n (the square of the naturality
     diagram at degree n), where ξ is the map induced on indecomposables."""
     src, tgt = f.source, f.target
-    gamma_tgt = cohomology(tgt, n + 1).below(n - 1)  # the Γ path of `build_wes`
+    gamma_tgt = cohomology(tgt.truncate(n - 1), n + 1)  # Γ^{n+1} of the target
     checks = []
     for g in src.gens_of_degree(n):
         dv = src.differential(g)

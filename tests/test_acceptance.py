@@ -6,11 +6,13 @@ wall-clock budgets.
 """
 
 import hashlib
+import importlib.util
 import json
 import random
 import time
 from fractions import Fraction as Q
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -205,15 +207,51 @@ def test_criterion_4_cross_oracle_grid():
 # --- criterion 5: WES exactness over the full corpus ---------------------------------
 
 
+# sha256 of each builtin's WES node data (`wes_digest`) and its number of
+# exactness checks, as `tools/corpus_wes.py` prints them
+WES_PINS = {
+    "V-ex31": ("479fbc2496a5798bea0ae4b25ab8fc4bfb25ba677a1df6b2b65435fad0bcea86", 591),
+    "W-ex32": ("c433eca442caaa18e25cd1a9ad3ad1279c7d9c3b2130b5a065b201fb6961cb7e", 591),
+    "U1": ("da298bf5ca065b2d986a2446820b0a65e3c89b01937ba17dac78cc25c41d7fff", 592),
+    "U2": ("9301346317301cc3b187b7efae38f2a8a288018c5785422720fc7c1e2978ed45", 593),
+    "U3": ("56c1739f2ab6cdf125df5d7ab601b05724b4c8cf8faeaedd9d2f975ca9bb1de1", 594),
+    "U4": ("be7761f5de3d5f81fd91cf4079bcab5741dbbf94f3f4e8023f3cee653cd78f59", 595),
+    "U5": ("902b59e6d2c4614aad642a6514941b84aba60da3e6cee7c83ee8498eceae99c8", 596),
+    "U6": ("6f1c46cee2eb3314420d05ba4cc438dfc9e6c114dcc4cb2d2f1004251dbcd74f", 597),
+    "U7": ("5b4d6da73af280b5926007918fc789a732d8e25e7db95565985b5cd3df273846", 598),
+    "U8": ("349f9f430c643d94289ab90f76f3b44a2d16f61432b0bbc746d4c28c6bd440e8", 599),
+    "E2": ("c433eca442caaa18e25cd1a9ad3ad1279c7d9c3b2130b5a065b201fb6961cb7e", 591),
+    "E3": ("b4230822bffabcb84bd9697ff86d1209c6b05673ffb7adeea3025fd43beac71c", 592),
+    "E4": ("ca7faa4edec66f7cd819d9e90bf90dcc65ab6fe1dc3ecff286438017c67cbbcd", 593),
+    "E5": ("8f75195bbb6e782f827cdb3b12be9d0fe35e562d089d1588bf5b8e6d493212b4", 594),
+    "E6": ("b52ddbe14db8efc9ee53aaff081549c1fe01b99c38dcbbeb61681d3ef91bd730", 595),
+    "E7": ("50ef968c92853559720db2c011b6f447beaf8dbd6933c47940c75212c7624446", 596),
+}
+
+
+def _wes_digest():
+    """`wes_digest`, loaded from bench/workloads.py by its path: the digest
+    `tools/corpus_wes.py` prints and bench/golden.json holds."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.wes_digest
+
+
 def test_criterion_5_wes_property_suite():
     t0 = time.monotonic()
+    wes_digest = _wes_digest()
     all_ok = True
     details = []
     for label in BUILTIN_LABELS:
         m = load_builtin(label)
         w = build_wes(m)
         report = check_exactness(w)  # includes b-column fidelity at every node
-        all_ok = all_ok and report.ok
+        pinned = WES_PINS[label] == (wes_digest(w), len(report.checks))
+        if not pinned:
+            print(f"  [criterion 5] {label}: node digest or check count differs from the pin")
+        all_ok = all_ok and report.ok and pinned
         details.append(f"{label}:{'ok' if report.ok else 'FAIL'}")
         if not report.ok:
             print(report)
@@ -222,7 +260,8 @@ def test_criterion_5_wes_property_suite():
     verdict(
         5,
         "build_wes + check_exactness at every node for all builtins, full "
-        "generator range, b-columns = [d(v)] everywhere",
+        "generator range, b-columns = [d(v)] everywhere, node digests and "
+        "check counts as pinned",
         all_ok,
         f"{elapsed:.0f}s",
     )

@@ -148,6 +148,9 @@ def _odd_closed_model():
 
 
 def _rank_model(label):
+    if "<=" in label:  # a cut, as the WES reads Γ from: "W-ex32<=118" is ΛW^{<=118}
+        name, cut = label.split("<=")
+        return load_builtin(name).truncate(int(cut))
     if label == "zero-d":
         return SullivanModel([Generator("a", 2), Generator("b", 3), Generator("c", 4)], {})
     if label == "even-free":
@@ -282,9 +285,12 @@ def test_basis_size_counts_the_enumerated_basis(label):
     assert [cx.basis_size(k) for k in range(122)] == [len(cx.basis(k)) for k in range(122)]
 
 
-@pytest.mark.parametrize("label", RANK_MODELS + ["U3"])
+# the cuts have free generators, so their ranks take the Künneth path: x0 in
+# each, and in E3<=39 also x1 and x2, which only the dropped generators use
+@pytest.mark.parametrize("label", RANK_MODELS + ["U3", "W-ex32<=118", "U3<=43", "E3<=39"])
 def test_dimension_from_ranks_equals_window_dimension(label):
     cx = cohomology_module._Complex(_rank_model(label))
+    assert cx.core is not None or "<=" not in label
     for k in range(122):
         dim = cx.basis_size(k) - cx.rank(k - 1) - cx.rank(k)
         assert dim == cohomology_module._Window.build(cx, k).dimension, k
@@ -625,70 +631,11 @@ def test_concurrent_cohomology_queries_are_safe(W):
     assert results[0][0] == 29
 
 
-def _assert_same_window(derived, built, m, n=None):
-    assert derived.dimension == built.dimension
-    assert derived.image_rank() == built.image_rank()
-    assert derived.representatives() == built.representatives()
-    if n is not None:
-        for v in m.gens_of_degree(n):
-            dv = m.d(P.generator(v))
-            assert derived.class_of(dv).coords == built.class_of(dv).coords
-
-
-@pytest.mark.parametrize(
-    "label", ["V-ex31", "W-ex32", "U1", "U2", "U3", "E2", "E3", "E4"]
-)
-def test_window_below_a_cut_matches_the_truncation(label):
-    # H^{n+1}(ΛV^{<=n-1}) derived from the H^{n+1}(ΛV) window equals the one
-    # built from the truncation's own complex, class by class
-    from cohaut.corpus import load_builtin
-
-    m = load_builtin(label)
-    for n in range(3, m.top_degree + 2):
-        h = cohomology(m, n + 1)
-        gamma = h.below(n - 1)
-        assert gamma.model == m.truncate(n - 1)
-        _assert_same_window(gamma, cohomology(m.truncate(n - 1), n + 1), m, n)
-    # cutoffs that drop generators from most blocks of the window
-    for k, cut in ((88, 40), (120, 40), (120, 42)):
-        h = cohomology(m, k)
-        derived = h.below(cut)
-        reused = {id(c) for c in derived._window.components}
-        touched = sum(id(c) not in reused for c in h._window.components)
-        assert 2 * touched > len(h._window.components)
-        _assert_same_window(derived, cohomology(m.truncate(cut), k), m)
-
-
 def test_window_below_codes_with_the_truncation(V):
-    h = cohomology(V, 43)
-    assert h.below(119) is h  # nothing to drop
-    gamma = h.below(42)
-    assert gamma.model == V.truncate(42)
+    # Γ^43 = H^43(ΛV^{<=42}) is the cut's own window, and class_of takes d in the cut
+    gamma = cohomology(V.truncate(42), 43)
     with pytest.raises(ModelError):  # y2 lies outside ΛV^{<=42}
         gamma.class_of(P.generator(V.generator("y2")))
-
-
-@pytest.mark.parametrize(
-    "k, cut, same",
-    [
-        (44, 45, True),  # next generator z (119) lies above k+1
-        (44, 118, True),
-        (44, 119, True),  # no generator above the cut
-        (44, 200, True),
-        (44, 44, False),  # y3 (45) = k+1 is dropped
-        (44, 43, False),
-        (43, 42, False),  # y2 (43) = k is dropped
-        (43, 11, False),
-    ],
-)
-def test_window_below_is_the_window_itself_when_no_degree_lies_above_the_cut(V, k, cut, same):
-    # with no generator degree in (cut, k+1], no monomial of degree <= k+1
-    # holds a dropped generator, so the derived window is the window itself
-    window = cohomology(V, k)._window
-    assert (window.below(cut) is window) == same
-    derived = cohomology(V, k).below(cut)
-    assert (derived._window is window) == same
-    _assert_same_window(derived, cohomology(V.truncate(cut), k), V)
 
 
 # --- class layout: anchors, positions and linear parts ----------------------------
@@ -728,9 +675,8 @@ def _assert_layout_round_trips(h):
 def test_class_positions_round_trip_through_the_anchor_table(label, k, cut):
     from cohaut.corpus import load_builtin
 
-    h = cohomology(load_builtin(label), k)
-    if cut is not None:
-        h = h.below(cut)
+    m = load_builtin(label)
+    h = cohomology(m if cut is None else m.truncate(cut), k)
     assert 0 < h.dimension <= 300
     # each case interleaves inert and block anchors, has a block with more
     # than one class, or has a generator class
@@ -766,17 +712,16 @@ def test_representative_rejects_positions_outside_the_layout(V):
 @pytest.mark.parametrize("label, k, cut", [("V-ex31", 43, 42), ("W-ex32", 120, 118), ("U3", 69, 43)])
 def test_windows_name_monomials_by_packed_ints(label, k, cut):
     # columns name the packed degree-(k+1) monomials they hit, and blocks the
-    # packed degree-k ones; no window, built or derived, keeps a position index
+    # packed degree-k ones; no window, of the model or of its cut, keeps a
+    # position index
     m = load_builtin(label)
-    cx = cohomology_module._Complex(m)
-    monomial = cx.view.packing(k + 1).monomial
-    for mono_, _ in (row for col in cx.columns(k).values() for row in col):
-        assert monomial(mono_).degree == k + 1
-    win = cx.window(k)
-    derived = win.below(cut)
-    assert derived is not win
-    basis = set(cx.basis(k))
-    for w in (win, derived):
-        assert not hasattr(w, "index")
-        assert all(g in basis for c in w.components for g in c.rows_k)
-    assert not hasattr(cx, "index") and not hasattr(cx, "_indexes")
+    for model in (m, m.truncate(cut)):
+        cx = cohomology_module._Complex(model)
+        monomial = cx.view.packing(k + 1).monomial
+        for mono_, _ in (row for col in cx.columns(k).values() for row in col):
+            assert monomial(mono_).degree == k + 1
+        win = cx.window(k)
+        basis = set(cx.basis(k))
+        assert not hasattr(win, "index")
+        assert all(g in basis for c in win.components for g in c.rows_k)
+        assert not hasattr(cx, "index") and not hasattr(cx, "_indexes")

@@ -163,57 +163,63 @@ def test_linear_term_in_a_differential_is_rejected(n_max):
         build_wes(m, n_max)
 
 
-def test_wes_builds_no_complex_for_a_truncation(monkeypatch):
-    # Γ^{n+1} = H^{n+1}(ΛV^{<=n-1}) is derived from the H^{n+1}(ΛV) window;
-    # fresh caches make a reverted path show as a truncation's complex
+def _spy_window_builds(monkeypatch, cohomology_module):
+    """Record the (complex model, degree) of every window built from now on."""
+    built = []
+    build = cohomology_module._Window.build
+
+    def spy(cls, cx, k):
+        built.append((cx.model, k))
+        return build(cx, k)
+
+    monkeypatch.setattr(cohomology_module._Window, "build", classmethod(spy))
+    return built
+
+
+@pytest.mark.parametrize("label", ["E3", "U3"])
+def test_wes_builds_each_window_once_and_the_check_none(monkeypatch, label):
+    # Γ^{n+1} is built once on the cut's own complex and stays cached there,
+    # every dimension comes from ranks, and the check decides i ∘ b = 0 on
+    # local blocks, so no (complex, degree) window is built twice
     import importlib
 
     from cohaut.corpus import load_builtin
 
     cohomology_module = importlib.import_module("cohaut.cohomology")
-    m = load_builtin("E3")
-    built = []
-    init = cohomology_module._Complex.__init__
-
-    def spy(self, model):
-        built.append(model)
-        init(self, model)
-
+    m = load_builtin(label)
     monkeypatch.setattr(cohomology_module, "_COMPLEXES", cohomology_module._LRU(32))
-    monkeypatch.setattr(cohomology_module._Complex, "__init__", spy)
-    assert check_exactness(build_wes(m)).ok
-    assert built == [m]
+    built = _spy_window_builds(monkeypatch, cohomology_module)
+    w = build_wes(m)
+    in_build = len(built)
+    assert check_exactness(w).ok
+    assert len(built) == in_build  # the check builds none
+    assert built and len(set(built)) == len(built)
 
 
 def test_exactness_check_builds_windows_only_where_v_n_is_nonzero(monkeypatch):
-    # every class the check computes is about some v in V^n, so with fresh
-    # caches it builds H^{n+1}(ΛV) windows only at those n; fetching them at
-    # every n rebuilds the evicted windows of the other degrees too
+    # every class the check computes is a [d(v)] or [d(ℓ)] in Γ^{n+1} with v,
+    # ℓ in V^n, and i ∘ b = 0 needs no window; with fresh caches after the
+    # build, the check builds exactly those Γ^{n+1} windows and none on ΛV
     import importlib
 
     from cohaut.corpus import load_builtin
 
     cohomology_module = importlib.import_module("cohaut.cohomology")
     m = load_builtin("E3")
-    monkeypatch.setattr(cohomology_module, "_COMPLEXES", cohomology_module._LRU(32))
     w = build_wes(m)
-    built = []
-    build = cohomology_module._Window.build
-
-    def spy(cls, cx, k):
-        built.append(k)
-        return build(cx, k)
-
-    monkeypatch.setattr(cohomology_module._Window, "build", classmethod(spy))
+    monkeypatch.setattr(cohomology_module, "_COMPLEXES", cohomology_module._LRU(32))
+    built = _spy_window_builds(monkeypatch, cohomology_module)
     assert check_exactness(w).ok
-    wanted = {n + 1 for n in range(w.n_min, w.n_max + 1) if m.gens_of_degree(n)}
-    assert built and set(built) <= wanted
+    gen_degrees = [n for n in range(w.n_min, w.n_max + 1) if m.gens_of_degree(n)]
+    assert sorted(built, key=lambda key: key[1]) == [
+        (m.truncate(n - 1), n + 1) for n in gen_degrees
+    ]
+    assert all(model != m for model, _ in built)
 
 
 def test_build_wes_builds_windows_only_next_to_generator_degrees(monkeypatch):
-    # where V^n = V^{n+1} = 0, i is an isomorphism and the node reads its
-    # dimensions from coboundary ranks; only the other nodes build windows,
-    # H^{n+1}(ΛV) and (where V^n != 0) H^n(ΛV)
+    # every dimension of a node comes from coboundary ranks; only the n with
+    # V^n != 0 build windows: Γ^{n+1} on the cut ΛV^{<=n-1} and H^n(ΛV)
     import importlib
 
     from cohaut.corpus import load_builtin
@@ -221,22 +227,26 @@ def test_build_wes_builds_windows_only_next_to_generator_degrees(monkeypatch):
     cohomology_module = importlib.import_module("cohaut.cohomology")
     m = load_builtin("E3")
     monkeypatch.setattr(cohomology_module, "_COMPLEXES", cohomology_module._LRU(32))
-    built = []
-    build = cohomology_module._Window.build
-
-    def spy(cls, cx, k):
-        built.append(k)
-        return build(cx, k)
-
-    monkeypatch.setattr(cohomology_module._Window, "build", classmethod(spy))
+    built = _spy_window_builds(monkeypatch, cohomology_module)
     w = build_wes(m)
-    near = [
-        n
-        for n in range(w.n_min, w.n_max + 1)
-        if m.gens_of_degree(n) or m.gens_of_degree(n + 1)
-    ]
-    assert built and set(built) <= {k for n in near for k in (n, n + 1)}
-    assert len(near) < (w.n_max - w.n_min + 1) // 2
+    gen_degrees = [n for n in range(w.n_min, w.n_max + 1) if m.gens_of_degree(n)]
+    assert set(built) == {
+        key for n in gen_degrees for key in ((m.truncate(n - 1), n + 1), (m, n))
+    }
+    assert len(gen_degrees) < (w.n_max - w.n_min + 1) // 2
+
+
+def test_the_i_b_check_fails_where_d_v_is_no_coboundary(V, monkeypatch):
+    # with every d(v) taken for a non-coboundary of ΛV, exactly the i ∘ b = 0
+    # checks fail, at the generator degrees, naming the first generator
+    import cohaut.whitehead as whitehead_module
+
+    w = build_wes(V)
+    monkeypatch.setattr(whitehead_module, "solve_coboundary", lambda m, k, rhs: None)
+    failures = check_exactness(w).failures()
+    gen_degrees = [n for n in range(w.n_min, w.n_max + 1) if V.gens_of_degree(n)]
+    assert [(c.n, c.node) for c in failures] == [(n, f"Γ^{n + 1}: i ∘ b = 0") for n in gen_degrees]
+    assert {c.n: c.detail for c in failures}[41] == "i(b(y1)) != 0"
 
 
 def test_build_wes_refuses_a_model_that_fails_validation():
