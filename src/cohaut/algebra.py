@@ -501,15 +501,72 @@ def _enumerate(degs: tuple[int, ...], degree: int, shifts: tuple[int, ...]) -> t
 # --- bases and coordinates ----------------------------------------------------
 
 
+def _rank(
+    degs: tuple[int, ...],
+    table: tuple[tuple[int, ...], ...],
+    shifts: tuple[int, ...],
+    masks: tuple[int, ...],
+    degree: int,
+    word: int,
+) -> int:
+    """The basis-order index of the packed degree-`degree` monomial `word`,
+    field i at shifts[i] under masks[i], against `table = _series(degs, n)`
+    for some n >= degree: the number of monomials before it, those with a
+    higher exponent of some generator x_j and the same exponents of the
+    generators before x_j.
+
+    With degree r left at x_j and exponent e, those are the monomials of
+    degree r in generators j.. with an exponent of x_j above e.  For an even
+    x_j they are x_j^{e+1} times any monomial of degree r - (e+1)|x_j| in
+    generators j.., so table[j][r - (e+1)|x_j|] of them (the table's
+    recurrence table[j][r] = table[j+1][r] + table[j][r - |x_j|]).  For an
+    odd x_j there are table[j+1][r - |x_j|] when e = 0 and none when e = 1.
+    So a rank reads one table entry per generator."""
+    i, r = 0, degree
+    for j, d in enumerate(degs):
+        e = word >> shifts[j] & masks[j]
+        if d % 2:
+            if not e and r >= d:
+                i += table[j + 1][r - d]
+        elif r >= (e + 1) * d:
+            i += table[j][r - (e + 1) * d]
+        r -= e * d
+    return i
+
+
+def _unrank(
+    degs: tuple[int, ...],
+    table: tuple[tuple[int, ...], ...],
+    shifts: tuple[int, ...],
+    degree: int,
+    i: int,
+) -> int:
+    """The packed degree-`degree` monomial of basis-order index
+    0 <= i < table[0][degree] (the inverse of `_rank`): exponent e of x_j,
+    with degree r left, heads a run of table[j+1][r - e|x_j|] consecutive
+    monomials, from the highest e down."""
+    word, r = 0, degree
+    for j, d in enumerate(degs):
+        below = table[j + 1]
+        for e in range(min(1, r // d) if d % 2 else r // d, -1, -1):
+            if i < below[r - e * d]:
+                break
+            i -= below[r - e * d]
+        word += e << shifts[j]
+        r -= e * d
+    return word
+
+
+
+
 class _Basis(Sequence[Monomial]):
     """The canonical monomials of degree `degree` in `generators`, in basis
     order, as a read-only sequence that stores none of them.
 
-    Ranking and unranking (Nijenhuis and Wilf, *Combinatorial Algorithms*,
-    ch. 13) read the count table that prunes `_enumerate`: table[j][r] is
-    the number of degree-r monomials in generators j.., so exponent e of
-    generator j, with degree r left, heads a run of table[j+1][r - e|x_j|]
-    consecutive monomials.  Only iteration enumerates.
+    Indexing and `rank` are `_unrank` and `_rank` (Nijenhuis and Wilf,
+    *Combinatorial Algorithms*, ch. 13), which read the count table that
+    prunes `_enumerate`: table[j][r] is the number of degree-r monomials in
+    generators j.. .  Only iteration enumerates.
     """
 
     __slots__ = ("_pk", "_degs", "_degree", "_table")
@@ -534,29 +591,12 @@ class _Basis(Sequence[Monomial]):
 
     def __getitem__(self, i: int) -> Monomial:
         i = range(len(self))[operator.index(i)]  # IndexError as on a tuple; no slices
-        word, r = 0, self._degree
-        for j, d in enumerate(self._degs):
-            below = self._table[j + 1]
-            for e in range(min(1, r // d) if d % 2 else r // d, -1, -1):
-                if i < below[r - e * d]:
-                    break
-                i -= below[r - e * d]
-            word += e << self._pk.shifts[j]
-            r -= e * d
-        return self._pk.monomial(word)
+        return self._pk.monomial(_unrank(self._degs, self._table, self._pk.shifts, self._degree, i))
 
     def rank(self, word: int) -> int:
-        """The index of the packed degree-`degree` monomial `word`: the number
-        of monomials before it, those with a higher exponent of some generator
-        and the same exponents of the generators before that one."""
-        pk, i, r = self._pk, 0, self._degree
-        for j, d in enumerate(self._degs):
-            below = self._table[j + 1]
-            e = word >> pk.shifts[j] & pk.masks[j]
-            # of the table[j][r] monomials left, those with exponent <= e come last
-            i += self._table[j][r] - sum(below[r - f * d] for f in range(e + 1))
-            r -= e * d
-        return i
+        """The index of the packed degree-`degree` monomial `word`."""
+        pk = self._pk
+        return _rank(self._degs, self._table, pk.shifts, pk.masks, self._degree, word)
 
     def __contains__(self, m) -> bool:
         # a Monomial is canonical, so it is here when its degree and generators are

@@ -5,20 +5,26 @@ components: two monomials interact only when one appears in the differential
 of the other.  Most monomials of a big model are inert (closed, and never hit
 by a differential), so they are their own cohomology classes; the remaining
 active monomials fall into small components on which dense exact elimination
-is cheap.  Dimensions need only the two boundary ranks per component, so the
-kernel and representative data are computed lazily, on first access.  Classes
-are numbered by anchor in basis order (an inert monomial, or a block's first
-degree-k member followed by the block's echelon classes); each window finds
-them in one anchor table with `bisect`.
+is cheap.  A component with one degree-k member carries no class (its member
+is exact or not closed, see `_components`), so it is kept as a member of one
+of two int sets, not as a `_Component`.  Dimensions need only the two
+boundary ranks per component, so the kernel and representative data are
+computed lazily, on first access.  Classes are numbered in basis order: an
+inert monomial has one, and a block's first degree-k member (its head) is
+followed by the block's echelon classes.  An inert monomial's position is
+counted from its rank in the degree-k basis (`algebra._rank`), the active
+members before it and the classes of the heads before it, so a window stores
+no inert monomial.
 
 Monomials are packed exponent vectors (`algebra._Packing`): one int each,
 generator 0 most significant, so descending int order is basis order and a
 product is an integer sum.  The packed int is the only name of a monomial: a
 coboundary column names the packed monomials it hits, and a window's blocks,
-anchors and class queries name degree-k monomials the same way, so nothing
-keeps a basis position.  Positions are class coordinates only.  A window
-enumerates its degree-k basis once, in basis order, to lay out its inert
-classes, and no window enumerates basis(k-1).
+heads, one-member sets and class queries name degree-k monomials the same
+way, so nothing keeps a basis position.  Positions are class coordinates
+only.  No window enumerates a basis: the inert monomials are counted and
+ranked against the Poincaré series' count table, and unranked only to name
+a representative.
 
 Every column comes from a template.  A generator is closed when d of it is 0
 and active otherwise.  A monomial with an active factor is P·A, with P a
@@ -93,6 +99,8 @@ semantics, so concurrent readers are safe.
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import operator
 import threading
 from collections import OrderedDict
@@ -100,7 +108,17 @@ from fractions import Fraction
 from typing import Callable
 
 from . import linalg
-from .algebra import Monomial, Polynomial, Q, _enumerate, _Packing, poincare_series
+from .algebra import (
+    Monomial,
+    Polynomial,
+    Q,
+    _enumerate,
+    _Packing,
+    _rank,
+    _series,
+    _unrank,
+    poincare_series,
+)
 from .model import SullivanModel, _PackedModel
 
 _Q0 = Q(0)
@@ -269,7 +287,8 @@ def complex_for(model: SullivanModel) -> _Complex:
 
 
 class _Component:
-    """One connected block of the window: active monomials at k-1, k, k+1.
+    """One connected block of the window with at least two degree-k members:
+    active monomials at k-1, k, k+1.
 
     Boundary ranks (hence the local cohomology dimension) are computed
     eagerly; kernel and representative data only on first use.
@@ -402,20 +421,33 @@ def _blocks(*maps) -> list[list[tuple]]:
     return list(groups.values())
 
 
-def _components(cols_km1, cols_k) -> list[_Component]:
+def _components(cols_km1, cols_k) -> tuple[list[_Component], set[int], set[int]]:
     """The connected blocks of a window, from its coboundary columns
-    degree k-1 -> k and k -> k+1 (level 0 = degree k-1), in basis order of
-    their first degree-k member.  Blocks living entirely at k-1/k+1
-    contribute nothing and are dropped."""
+    degree k-1 -> k and k -> k+1 (level 0 = degree k-1): the blocks with at
+    least two degree-k members, in basis order of their first one, and the
+    sets `exact` and `unclosed` of the members of the blocks with one.
+    Blocks living entirely at k-1/k+1 contribute nothing and are dropped.
+
+    A block with one degree-k member M carries no class.  If it has a
+    degree-(k-1) member u, then d(u) lies in the block and is a nonzero
+    stored column, so d(u) = c·M with c != 0, d(M) = d(d(u))/c = 0, and M is
+    exact.  Otherwise M is in the block only through its own column, so
+    d(M) != 0 and M is not closed.  d is block-diagonal, so a cocycle has
+    coefficient 0 at an unclosed M, and an exact M is 0 in cohomology:
+    either way the block's dim_h is 0, and it needs no `_Component`."""
     comps = []
+    exact: set[int] = set()
+    unclosed: set[int] = set()
     for members in _blocks(cols_km1, cols_k):
         mk = [m for d, m in members if d == 1]
-        if mk:
+        if len(mk) > 1:
             comps.append(
                 _Component([m for d, m in members if d == 0], mk, cols_km1, cols_k)
             )
+        elif mk:
+            (exact if any(d == 0 for d, _ in members) else unclosed).add(mk[0])
     comps.sort(key=lambda comp: comp.rows_k[0], reverse=True)
-    return comps
+    return comps, exact, unclosed
 
 
 def _coboundary_rank(cols: dict[int, list[tuple[int, Fraction]]]) -> int:
@@ -447,53 +479,83 @@ class _Window:
     degree k-1..k+1.  It is built only by `build`, on the complex of its
     model, a truncation included.
 
-    The class layout is the table `anchors`, in basis order (descending):
-    anchor j is an inert monomial (`owners[j] == -1`, one class) or the first
-    degree-k member of block `owners[j]` (`dim_h` classes), and its classes
-    start at position `starts[j]`.
+    The class layout follows basis order (descending packed ints).  A
+    degree-k monomial is inert (closed and hit by nothing: one class), a
+    member of a block (`components`: dim_h classes, placed at the block's
+    first member, its head), or the member of a one-member block (`exact`
+    or `unclosed`: no class, see `_components`).  The window keeps only the
+    active members (`active`: those of the blocks and both sets, in basis
+    order), and the heads of the blocks with classes (`heads`) with their
+    first class positions.  An inert monomial's first class position is its
+    rank in the degree-k basis (`algebra._rank`, O(1) per generator), minus
+    the active members before it, plus the classes of the heads before it
+    (`_start`); the dimension is counted the same way.  So no window
+    enumerates a basis, and the inert monomials, most of the degree-k basis,
+    cost nothing.
     """
 
-    def __init__(self, packing: _Packing, k: int, components: list[_Component], basis_k):
+    def __init__(
+        self,
+        packing: _Packing,
+        k: int,
+        degs: tuple[int, ...],
+        components: list[_Component],
+        exact: set[int],
+        unclosed: set[int],
+    ):
         self.packing = packing
         self.degree = k
         self.components = components
-        self.comp_of_k: dict[int, int] = {}
-        for cid, comp in enumerate(components):
-            for m in comp.rows_k:
-                self.comp_of_k[m] = cid
-        active = self.comp_of_k
-        heads = {comp.rows_k[0]: cid for cid, comp in enumerate(components) if comp.dim_h}
-        table = [(m, heads.get(m, -1)) for m in basis_k if m in heads or m not in active]
-        self.anchors = [anchor for anchor, _ in table]
-        self.owners = [cid for _, cid in table]
-        self.starts: list[int] = []
-        pos = 0
-        for cid in self.owners:
-            self.starts.append(pos)
-            pos += components[cid].dim_h if cid >= 0 else 1
-        self.dimension = pos
+        self.exact = exact
+        self.unclosed = unclosed
+        self.comp_of_k = {m: cid for cid, comp in enumerate(components) for m in comp.rows_k}
+        self.active = sorted([*self.comp_of_k, *exact, *unclosed], reverse=True)
+        table = _series(degs, k)
+        self._rank = functools.partial(_rank, degs, table, packing.shifts, packing.masks, k)
+        self._unrank = functools.partial(_unrank, degs, table, packing.shifts, k)
+        self.inert = table[0][k] - len(self.active)
+        with_classes = [comp for comp in components if comp.dim_h]
+        self.heads = [comp.rows_k[0] for comp in with_classes]
+        # _classes_before[j]: the classes of the heads before head j
+        self._classes_before = list(
+            itertools.accumulate((comp.dim_h for comp in with_classes), initial=0)
+        )
+        self.dimension = self.inert + self._classes_before[-1]
+        self._head_starts = [self._start(h) for h in self.heads]
 
     @classmethod
     def build(cls, cx: _Complex, k: int) -> "_Window":
         pk = cx.view.packing(k + 1)
-        return cls(pk, k, _components(cx.columns(k - 1, pk), cx.columns(k, pk)), cx.basis(k))
+        return cls(pk, k, cx.view.degs, *_components(cx.columns(k - 1, pk), cx.columns(k, pk)))
 
     # -- queries ----------------------------------------------------------------
 
     def _start(self, anchor: int) -> int:
-        """First class position of an anchor."""
-        return self.starts[bisect.bisect_left(self.anchors, -anchor, key=operator.neg)]
+        """First class position of an inert monomial or a head: the inert
+        monomials before it (its rank less the active members before it),
+        plus the classes of the heads before it."""
+        key = operator.neg
+        return (
+            self._rank(anchor)
+            - bisect.bisect_left(self.active, -anchor, key=key)
+            + self._classes_before[bisect.bisect_left(self.heads, -anchor, key=key)]
+        )
 
     def class_of_vec(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         """Class coordinates (sparse, by class position) of a cocycle vector:
-        inert monomials are classes, the rest is split into one dense vector
-        per component."""
+        inert monomials are classes, exact ones are 0, an unclosed one must
+        have coefficient 0, and the rest is split into one dense vector per
+        block."""
         out: dict[int, Fraction] = {}
         parts: dict[int, list[Fraction]] = {}
         for mono, val in vec.items():
             cid = self.comp_of_k.get(mono)
             if cid is None:
-                out[self._start(mono)] = val
+                if mono in self.unclosed:
+                    if val:
+                        raise NotACocycle("vector is not a cocycle of this complex")
+                elif mono not in self.exact:
+                    out[self._start(mono)] = val
                 continue
             comp = self.components[cid]
             v = parts.get(cid)
@@ -512,6 +574,8 @@ class _Window:
         `mono` in that class's representative}."""
         cid = self.comp_of_k.get(mono)
         if cid is None:
+            if mono in self.exact or mono in self.unclosed:
+                return {}
             return {self._start(mono): _Q1}
         comp = self.components[cid]
         loc = comp.row(mono)
@@ -522,15 +586,22 @@ class _Window:
         }
 
     def representative_vec(self, pos: int) -> dict[int, Fraction]:
+        """The representative of class `pos`: a row of a head's block when
+        pos lies in its classes, else the inert monomial of index q among
+        the inert ones, found by bisecting the active members Mᵢ on the
+        inert count rank(Mᵢ) - i before them and unranking once."""
         if not 0 <= pos < self.dimension:
             raise IndexError(f"class position {pos} out of range 0..{self.dimension - 1}")
-        j = bisect.bisect_right(self.starts, pos) - 1
-        cid = self.owners[j]
-        if cid < 0:
-            return {self.anchors[j]: _Q1}
-        comp = self.components[cid]
-        row = comp.h_rows[pos - self.starts[j]]
-        return {comp.rows_k[i]: v for i, v in enumerate(row) if v}
+        j = bisect.bisect_right(self._head_starts, pos) - 1
+        if j >= 0:
+            comp = self.components[self.comp_of_k[self.heads[j]]]
+            if pos - self._head_starts[j] < comp.dim_h:
+                row = comp.h_rows[pos - self._head_starts[j]]
+                return {comp.rows_k[i]: v for i, v in enumerate(row) if v}
+        q = pos - self._classes_before[j + 1]
+        active, rank = self.active, self._rank
+        before = bisect.bisect_right(range(len(active)), q, key=lambda i: rank(active[i]) - i)
+        return {self._unrank(q + before): _Q1}
 
 
 # --- public API ---------------------------------------------------------------

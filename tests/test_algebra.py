@@ -17,10 +17,14 @@ from cohaut.algebra import (
     _enumerate,
     _mul_poly,
     _Packing,
+    _rank,
+    _series,
     _sorted_gens,
+    _unrank,
     multiply,
     poincare_series,
 )
+from cohaut.corpus import load_builtin
 
 x1 = Generator("x1", 10)
 x2 = Generator("x2", 12)
@@ -376,6 +380,40 @@ def test_basis_ranks_and_unranks_every_index_in_enumeration_order(gens, k):
         assert m not in b
         with pytest.raises(ValueError):
             b.index(m)
+
+
+_U3_GENS = list(load_builtin("U3").generators)
+_TWINS = [Generator(n, d) for n, d in (("a", 2), ("b", 2), ("p", 3), ("q", 3), ("c", 6))]
+_SHARED = (
+    [("odd", _ODD, d) for d in (27, 36)]
+    + [("even", _EVEN, d) for d in (60, 126, 128)]
+    + [("mixed", GENS, d) for d in (96, 128)]
+    + [("abc", _MIXED, d) for d in (127, 128)]
+    + [("U3", _U3_GENS, d) for d in (5, 69, 128)]
+    # two even and two odd generators of one degree: a run that x_j's next
+    # exponent leaves empty, and a later generator fills exactly
+    + [("twins", _TWINS, d) for d in (6, 7, 40, 128)]
+)
+
+
+@pytest.mark.parametrize(
+    "gens, k", [(gens, k) for _, gens, k in _SHARED], ids=[f"{n}-{k}" for n, _, k in _SHARED]
+)
+def test_rank_and_unrank_invert_each_other_in_enumeration_order_in_either_packing(gens, k):
+    # `_Basis` ranks in the packing of k, a cohomology window at k in that of
+    # k + 1: at k = 128 their bounds are 128 and 256, so the fields differ
+    ordered = _sorted_gens(gens)
+    degs = tuple(g.degree for g in ordered)
+    table = _series(degs, k)
+    packings = [_Packing(ordered, k), _Packing(ordered, k + 1)]
+    if k == 128:
+        assert [pk.dmax for pk in packings] == [128, 256]
+    for pk in packings:
+        words = _enumerate(degs, k, pk.shifts)
+        assert len(words) == table[0][k] > 0
+        for i, word in enumerate(words):
+            assert _unrank(degs, table, pk.shifts, k, i) == word
+            assert _rank(degs, table, pk.shifts, pk.masks, k, word) == i
 
 
 def test_basis_rejects_repeated_generators():

@@ -464,7 +464,9 @@ def test_residues_independent(V, W):
 
 def _window_residues_independent(m, k, monos):
     """residues_independent from the whole degree-k window: each monomial
-    reduced by the image rows of its component, then one sparse rank."""
+    reduced by the image rows of its component, then one sparse rank.  An
+    exact one-member block reduces to 0; an unclosed one, like an inert
+    monomial, is its own residue."""
     cx = complex_for(m)
     win = cx.window(k)
     residues = []
@@ -472,7 +474,7 @@ def _window_residues_independent(m, k, monos):
         packed = win.packing.packed(mo)
         cid = win.comp_of_k.get(packed)
         if cid is None:
-            residues.append({packed: Q(1)})
+            residues.append({} if packed in win.exact else {packed: Q(1)})
             continue
         comp = win.components[cid]
         v = [Q(0)] * len(comp.rows_k)
@@ -520,13 +522,16 @@ def test_residues_independent_matches_the_window_on_every_differential(label):
 
 @functools.lru_cache(maxsize=None)
 def _draw_pools(label, k):
-    """The degree-k basis of a builtin, and its members of window blocks."""
+    """The degree-k basis of a builtin, and its active members: those of the
+    window's blocks and of its one-member blocks, exact or unclosed."""
     from cohaut.corpus import load_builtin
 
     m = load_builtin(label)
     cx = complex_for(m)
+    win = cx.window(k)
     # descending packed ints are basis order
-    active = sorted((g for c in cx.window(k).components for g in c.rows_k), reverse=True)
+    members = [g for c in win.components for g in c.rows_k]
+    active = sorted([*members, *win.exact, *win.unclosed], reverse=True)
     monomial = cx.view.packing(k + 1).monomial
     return m, [monomial(b) for b in cx.basis(k)], [monomial(g) for g in active]
 
@@ -678,15 +683,17 @@ def test_class_positions_round_trip_through_the_anchor_table(label, k, cut):
     m = load_builtin(label)
     h = cohomology(m if cut is None else m.truncate(cut), k)
     assert 0 < h.dimension <= 300
-    # each case interleaves inert and block anchors, has a block with more
-    # than one class, or has a generator class
+    # each case has both inert classes and block heads with classes, a block
+    # with more than one class, or a generator class
     win = h._window
-    interleaved = len({cid < 0 for cid in win.owners}) == 2
+    interleaved = win.inert > 0 and len(win.heads) > 0
     assert interleaved or any(c.dim_h > 1 for c in win.components) or h.linear_parts()
-    # anchors are packed degree-k monomials in basis order
-    assert all(a > b for a, b in zip(win.anchors, win.anchors[1:]))
+    # heads are packed degree-k monomials in basis order, and they and the
+    # inert monomials carry every class
+    assert all(a > b for a, b in zip(win.heads, win.heads[1:]))
     in_order = iter(h.model.basis(k))
-    assert all(win.packing.monomial(a) in in_order for a in win.anchors)
+    assert all(win.packing.monomial(a) in in_order for a in win.heads)
+    assert win.inert + sum(c.dim_h for c in win.components) == h.dimension
     _assert_layout_round_trips(h)
 
 
@@ -724,4 +731,110 @@ def test_windows_name_monomials_by_packed_ints(label, k, cut):
         basis = set(cx.basis(k))
         assert not hasattr(win, "index")
         assert all(g in basis for c in win.components for g in c.rows_k)
+        assert win.exact <= basis and win.unclosed <= basis
+        assert set(win.active) <= basis and set(win.heads) <= basis
         assert not hasattr(cx, "index") and not hasattr(cx, "_indexes")
+
+
+# --- the class layout against an enumerated anchor table ---------------------------
+
+
+def _anchor_table(cx, win, k):
+    """The class layout as an enumerated table: walk basis(k) in order, and
+    give each block head with classes its dim_h positions and each monomial
+    in no block, of any size, one position.  {anchor: (first position,
+    block or None)}, the dimension, and the degree-k members of all blocks."""
+    pk = cx.view.packing(k + 1)
+    blocks = cohomology_module._blocks(cx.columns(k - 1, pk), cx.columns(k, pk))
+    members = {g for block in blocks for level, g in block if level == 1}
+    heads = {c.rows_k[0]: c for c in win.components if c.dim_h}
+    table, pos = {}, 0
+    for mo in cx.basis(k):
+        if mo in heads:
+            table[mo] = (pos, heads[mo])
+            pos += heads[mo].dim_h
+        elif mo not in members:
+            table[mo] = (pos, None)
+            pos += 1
+    return table, pos, members
+
+
+@pytest.mark.parametrize(
+    "label, k, cut",
+    [
+        ("V-ex31", 108, None),
+        ("V-ex31", 120, None),
+        ("W-ex32", 120, None),
+        ("W-ex32", 120, 118),
+        ("E3", 77, None),
+        ("U3", 69, None),
+        ("U3", 69, 43),
+        ("W-ex32", 128, None),  # packed in the bound 256
+        ("E3", 128, None),
+    ],
+)
+def test_window_layout_matches_the_enumerated_anchor_table(label, k, cut):
+    m = load_builtin(label)
+    cx = cohomology_module._Complex(m if cut is None else m.truncate(cut))
+    win = cx.window(k)
+    table, dim, members = _anchor_table(cx, win, k)
+    assert win.dimension == dim
+    assert win.active == sorted(members, reverse=True)
+    expected = {}  # class position -> representative
+    for anchor, (start, comp) in table.items():
+        if comp is None:
+            expected[start] = {anchor: 1}
+            assert win._start(anchor) == start
+            assert win.classes_containing(anchor) == {start: 1}
+        else:
+            for i, row in enumerate(comp.h_rows):
+                expected[start + i] = {g: v for g, v in zip(comp.rows_k, row) if v}
+    assert [win.representative_vec(i) for i in range(dim)] == [expected[i] for i in range(dim)]
+    for comp in win.components:
+        start = table[comp.rows_k[0]][0] if comp.dim_h else None
+        for j, g in enumerate(comp.rows_k):
+            want = {start + i: row[j] for i, row in enumerate(comp.h_rows) if row[j]}
+            assert win.classes_containing(g) == want
+    # a one-member block has no class: an exact member is 0 in any cocycle,
+    # and an unclosed one makes any vector with it no cocycle
+    assert win.exact or win.unclosed
+    cols_k = cx.columns(k, win.packing)
+    assert win.exact.isdisjoint(cols_k) and win.unclosed <= cols_k.keys()
+    for g in win.exact:
+        assert win.classes_containing(g) == {} and win.class_of_vec({g: Q(1)}) == {}
+    for g in win.unclosed:
+        assert win.classes_containing(g) == {}
+        with pytest.raises(NotACocycle):
+            win.class_of_vec({g: Q(1)})
+    assert len(table) + len(win.active) - len(win.heads) == cx.basis_size(k)
+
+
+@pytest.mark.parametrize("label", ["E3", "U3"])
+def test_windows_enumerate_no_basis_and_build_no_one_member_block(monkeypatch, label):
+    cx = cohomology_module._Complex(load_builtin(label))
+    bases, enumerated, sizes = [], [], []
+    basis, enumerate_, init = (
+        cohomology_module._Complex.basis,
+        cohomology_module._enumerate,
+        cohomology_module._Component.__init__,
+    )
+
+    def spy_enumerate(degs, degree, shifts):
+        enumerated.append((degs, degree))
+        return enumerate_(degs, degree, shifts)
+
+    def spy_init(self, members_km1, members_k, cols_km1, cols_k):
+        sizes.append(len(members_k))
+        init(self, members_km1, members_k, cols_km1, cols_k)
+
+    monkeypatch.setattr(cohomology_module._Complex, "basis", lambda *a: bases.append(a) or basis(*a))
+    monkeypatch.setattr(cohomology_module, "_enumerate", spy_enumerate)
+    monkeypatch.setattr(cohomology_module._Component, "__init__", spy_init)
+    singletons = 0
+    for n in sorted({g.degree for g in cx.model.generators}):
+        win = cohomology_module._Window.build(cx, n)
+        singletons += len(win.exact) + len(win.unclosed)
+    assert bases == []
+    # the columns enumerate closed monomials and active words only
+    assert not [key for key in enumerated if key[0] == cx.view.degs]
+    assert sizes and min(sizes) >= 2 and singletons > 0
