@@ -521,7 +521,8 @@ def _rank(
     generators j.., so table[j][r - (e+1)|x_j|] of them (the table's
     recurrence table[j][r] = table[j+1][r] + table[j][r - |x_j|]).  For an
     odd x_j there are table[j+1][r - |x_j|] when e = 0 and none when e = 1.
-    So a rank reads one table entry per generator."""
+    So a rank reads one table entry per generator, up to the last letter of
+    `word`: past it r = 0, and no monomial comes before."""
     i, r = 0, degree
     for j, d in enumerate(degs):
         e = word >> shifts[j] & masks[j]
@@ -531,6 +532,8 @@ def _rank(
         elif r >= (e + 1) * d:
             i += table[j][r - (e + 1) * d]
         r -= e * d
+        if not r:
+            break
     return i
 
 
