@@ -521,7 +521,11 @@ class _Window:
             itertools.accumulate((comp.dim_h for comp in with_classes), initial=0)
         )
         self.dimension = self.inert + self._classes_before[-1]
-        self._head_starts = [self._start(h) for h in self.heads]
+        # the first class position of each block with classes, by block id
+        self._start_of = {
+            cid: self._start(comp.rows_k[0]) for cid, comp in enumerate(components) if comp.dim_h
+        }
+        self._head_starts = list(self._start_of.values())
 
     @classmethod
     def build(cls, cx: _Complex, k: int) -> "_Window":
@@ -566,7 +570,7 @@ class _Window:
             comp = self.components[cid]
             for local_no, coord in enumerate(comp.class_coords(v)):
                 if coord:
-                    out[self._start(comp.rows_k[0]) + local_no] = coord
+                    out[self._start_of[cid] + local_no] = coord
         return out
 
     def classes_containing(self, mono: int) -> dict[int, Fraction]:
@@ -580,7 +584,7 @@ class _Window:
         comp = self.components[cid]
         loc = comp.row(mono)
         return {
-            self._start(comp.rows_k[0]) + local_no: row[loc]
+            self._start_of[cid] + local_no: row[loc]
             for local_no, row in enumerate(comp.h_rows)
             if row[loc]
         }
