@@ -560,8 +560,6 @@ def _unrank(
     return word
 
 
-
-
 class _Basis(Sequence[Monomial]):
     """The canonical monomials of degree `degree` in `generators`, in basis
     order, as a read-only sequence that stores none of them.
