@@ -2,8 +2,9 @@
 
 Monomials are words in graded generators, kept in a fixed global order
 (generator degree, then name).  Odd-degree generators anticommute and square
-to zero; even-degree generators commute.  All coefficients are exact
-`fractions.Fraction` values; no floating point is used anywhere.
+to zero; even-degree generators commute.  All coefficients are exact:
+`fractions.Fraction` values in the public types, ints or Fractions inside
+the packed kernel (see there); no floating point is used anywhere.
 
 The basis of a graded piece (`basis`) is a view that stores no monomial: its
 size is a coefficient of the Poincaré series, and it ranks and unranks
@@ -319,6 +320,23 @@ def _sorted_gens(generators: Iterable[Generator]) -> tuple[Generator, ...]:
 # the bases (`_enumerate`) and the coboundary columns (cohomology.py) all run
 # on packed ints; Monomial and Polynomial are their public views, converted
 # only at the API boundary (`_Packing.packed` and `_Packing.monomial`).
+#
+# Coefficients follow one rule.  A packed polynomial keeps a coefficient as a
+# plain int while it is integral (`_packed_coeff`), since every builtin
+# differential and most lift data are, and int arithmetic is several times
+# cheaper than Fraction arithmetic.  A Fraction appears only where a true
+# denominator does: a non-integral input coefficient, or a pivot division in
+# `linalg`, which divides by a Fraction so that no int quotient becomes a
+# float.  Mixed int and Fraction arithmetic stays exact, and equal values
+# compare and hash equal, so the two kinds can meet in one dict.  The public
+# views hold Fractions only: `Polynomial` converts each coefficient it is
+# given.
+
+
+def _packed_coeff(c: Fraction) -> int | Fraction:
+    """The coefficient c as the packed kernel keeps it: an int while it is
+    integral, else the Fraction itself."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _mul_poly(

@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .algebra import ONE, Generator, Monomial, Polynomial, Q, _Packing, poincare_series
+from .algebra import Generator, Monomial, Polynomial, Q, _packed_coeff, _Packing, poincare_series
 from .cohomology import CohomologyClass, class_of, solve_coboundary
-from .model import CochainMorphism, SullivanModel, _add_scaled, _ImagePowers, _PackedModel
+from .model import CochainMorphism, Coeff, SullivanModel, _add_scaled, _ImagePowers, _PackedModel
 
 
 class ShapeError(ValueError):
@@ -200,13 +200,15 @@ def try_lift(xi: GradedLinearMap) -> LiftResult:
     H^{|v|+1}(ΛW^{<=|v|-1}).  One table of image powers serves every stage:
     d(v) involves only generators of lower degree, whose images are final.
     The table is opened at |top generator| + 1, so it never widens during
-    the lift, and the stages stay packed in it: ξ(v), θ(d v), the
-    right-hand side and the image ξ(v) + u.  A `Polynomial` is built only
-    for a nonzero right-hand side, which `solve_coboundary` and `class_of`
-    take, and for each stage's image, which goes into the public `images`
-    as it enters the table.  The returned morphism keeps the table and each
-    stage's θ(d v), and its check evaluates d'(θ v) afresh from each final
-    image.  Raises ModelError when either model fails validation.
+    the lift, and the stages stay packed in it: ξ(v), θ(d v) (from the
+    source's packed differential), the right-hand side and the image
+    ξ(v) + u, with int coefficients while they are integral.  A
+    `Polynomial` is built only for a nonzero right-hand side, which
+    `solve_coboundary` and `class_of` take, and for each stage's image,
+    which goes into the public `images` as it enters the table.  The
+    returned morphism keeps the table and each stage's θ(d v), and its
+    check evaluates d'(θ v) afresh from each final image.  Raises
+    ModelError when either model fails validation.
     """
     source, target = xi.source, xi.target
     source.require_valid()
@@ -215,10 +217,10 @@ def try_lift(xi: GradedLinearMap) -> LiftResult:
     theta = _ImagePowers(source, target, images)
     tgt = target._packed
     pk = theta.packing(source.top_degree + 1)  # the table's own packing
-    theta_d: list[dict[int, Fraction]] = []
+    theta_d: list[dict[int, Coeff]] = []
     for i, v in enumerate(source.generators):
         n1 = v.degree
-        theta_dv = theta.packed(source.differential(v))
+        theta_dv = theta.packed_d(i)
         theta_d.append(theta_dv)
         image, rhs = _linear_stage(xi, tgt, pk, v, theta_dv)
         if rhs:
@@ -240,7 +242,7 @@ def try_lift(xi: GradedLinearMap) -> LiftResult:
                         ),
                     )
                 )
-            _add_scaled(image, ONE, tgt.pack_poly(pk, u))
+            _add_scaled(image, 1, tgt.pack_poly(pk, u))
         theta.put(i, image)
         images[v.name] = tgt.polynomial(pk, image)
     return LiftResult(morphism=CochainMorphism._from_table(source, target, theta, theta_d))
@@ -251,14 +253,16 @@ def _linear_stage(
     tgt: _PackedModel,
     pk: _Packing,
     v: Generator,
-    theta_dv: dict[int, Fraction],
-) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    theta_dv: dict[int, Coeff],
+) -> tuple[dict[int, Coeff], dict[int, Coeff]]:
     """ξ(v) and the right-hand side θ(d v) - d'(ξ v) of v's stage, packed in
     pk.  ξ(v) = Σ c·w is linear, so d'(ξ v) = Σ c·d'(w), each d'(w) read
-    from the target's Leibniz table."""
-    xi_v: dict[int, Fraction] = {}
+    from the target's Leibniz table.  An integral entry c of ξ enters as an
+    int."""
+    xi_v: dict[int, Coeff] = {}
     rhs = dict(theta_dv)
     for w, c in xi._column(v):
+        c = _packed_coeff(c)
         k = tgt.index[w]
         xi_v[1 << pk.shifts[k]] = c
         _add_scaled(rhs, -c, tgt.d_gen(pk, k))

@@ -85,12 +85,18 @@ block-diagonal matrix are the union of each block's pivot columns in any
 interleaving, so the free-variables-zero solution is the one the whole
 degree-k system gives; blocks with a zero right-hand side contribute 0.
 
+Column entries are the packed kernel's coefficients, ints while integral
+(algebra.py), so blocks are eliminated in int arithmetic until a pivot
+division makes a Fraction.  Public coefficients are Fractions: a
+representative is a `Polynomial`, class coordinates of a `Polynomial` are
+computed from its Fractions, and `linear_parts` converts its entries.
+
 All public results (dimensions, representative order, class coordinates) are
 deterministic.  Cohomology is computed per (model, degree) on demand.  Two
 bounded caches hold what is read again: the complexes (`complex_for`, the 32
 last models, truncations and cores included) and, per complex, the 4 last
-windows; a complex also keeps its ranks and active-word templates.  Bases
-and columns are rebuilt on each call.
+windows; a complex also keeps its ranks and active-word templates.  Columns
+are rebuilt on each call, and no basis of ΛV is enumerated.
 A window holds no reference to its complex, so an evicted complex is freed
 as soon as nothing else refers to it.  Insertion uses atomic insert-if-absent
 semantics, so concurrent readers are safe.
@@ -156,10 +162,10 @@ class _Complex:
     complex, on the model's packed view.
 
     Monomials are packed ints (`algebra._Packing`).  Everything at degree k
-    (basis(k), columns(k) and the window at k) uses the view's packing of
-    degree k + 1; the window at k also reads columns(k - 1) in it.  Bases and
-    columns are built on each call and not kept: a window keeps the two
-    column dicts its blocks read, and a rank keeps only its int.
+    (columns(k) and the window at k) uses the view's packing of degree k + 1;
+    the window at k also reads columns(k - 1) in it.  Columns are built on
+    each call and not kept: a window keeps the two column dicts its blocks
+    read, and a rank keeps only its int.
     """
 
     def __init__(self, model: SullivanModel):
@@ -177,12 +183,6 @@ class _Complex:
         used = {view.index[g] for dv in diff.values() for t in dv._terms for g, _ in t.factors}
         self._free = [i for i in self._closed if i not in used]
         self._core: _Complex | None = None
-
-    def basis(self, degree: int) -> tuple[int, ...]:
-        """Packed basis(degree), in the packing of degree + 1."""
-        if degree < 0:
-            return ()
-        return _enumerate(self.view.degs, degree, self.view.packing(degree + 1).shifts)
 
     def basis_size(self, degree: int) -> int:
         """len(basis(degree)), counted from the Poincaré series."""
@@ -661,7 +661,7 @@ class CohomologyBasis:
         out: dict[int, dict[str, Fraction]] = {}
         for g in gens:
             for pos, c in self._window.classes_containing(packed(Monomial(((g, 1),)))).items():
-                out.setdefault(pos, {})[g.name] = c
+                out.setdefault(pos, {})[g.name] = Q(c)
         return out
 
     def __repr__(self) -> str:
@@ -722,7 +722,7 @@ def coboundary_matrix(m: SullivanModel, k: int) -> list[list[Fraction]]:
     mat = [[_Q0] * len(src) for _ in row_of]
     for j, mono in enumerate(src):
         for hit, val in view.d(pk, mono).items():
-            mat[row_of[hit]][j] = val
+            mat[row_of[hit]][j] = Q(val)
     return mat
 
 

@@ -1,11 +1,13 @@
 """Exact linear algebra over Q, Z and F2.
 
-Matrices are plain lists of rows; Q-matrix entries are `fractions.Fraction`,
-Z-matrix entries are ints, F2 rows are int bitmasks.  Pivoting is
-deterministic (leftmost nonzero, first available row) - exact arithmetic
-makes numerical pivoting unnecessary and determinism keeps every downstream
-basis and report reproducible.  Everything here is desk scale; no attempt is
-made to be fast on large dense systems.
+Matrices are plain lists of rows; Q-matrix entries are `fractions.Fraction`
+or, where integral, plain ints (the packed kernel's coefficients, see
+algebra.py), Z-matrix entries are ints, F2 rows are int bitmasks.  A pivot
+division divides ONE, a Fraction, so no quotient of ints becomes a float.
+Pivoting is deterministic (leftmost nonzero, first available row) - exact
+arithmetic makes numerical pivoting unnecessary and determinism keeps every
+downstream basis and report reproducible.  Everything here is desk scale;
+no attempt is made to be fast on large dense systems.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
 Q = Fraction
+ONE = Q(1)
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
 
@@ -50,7 +53,7 @@ def rref(m: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int], int]:
             continue
         a[r], a[pr] = a[pr], a[r]
         if a[r][c] != 1:
-            inv = 1 / a[r][c]
+            inv = ONE / a[r][c]
             a[r] = [x * inv for x in a[r]]
         for i in range(n_rows):
             if i != r and a[i][c]:
@@ -134,7 +137,7 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
             a[c], a[pr] = a[pr], a[c]
             sign = -sign
         result *= a[c][c]
-        inv = 1 / a[c][c]
+        inv = ONE / a[c][c]
         for i in range(c + 1, n):
             if a[i][c]:
                 f = a[i][c] * inv

@@ -16,18 +16,20 @@ from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
-    ONE,
-    ZERO,
     Generator,
     Monomial,
     Polynomial,
     Q,
     _mul_poly,
+    _packed_coeff,
     _Packing,
     _packing_bound,
     basis,
     coordinates,
 )
+
+# A packed coefficient: an int while integral, else a Fraction (algebra.py)
+Coeff = int | Fraction
 
 
 class ModelError(ValueError):
@@ -174,7 +176,7 @@ class SullivanModel:
             return Polynomial.zero()
         view = self._packed
         pk = view.packing(p.homogeneous_degree() + 1)
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Coeff] = {}
         for mono, coeff in view.pack_poly(pk, p).items():
             _add_scaled(acc, coeff, view.d(pk, mono))
         return view.polynomial(pk, acc)
@@ -266,9 +268,10 @@ class SullivanModel:
 class _PackedModel:
     """The packed view of one model: its generators and differential, and per
     degree bound the one packing of that bound (see the packed kernel in
-    algebra.py) with the Leibniz table of d in it."""
+    algebra.py) with the Leibniz table of d in it.  Packed coefficients are
+    ints while integral (`algebra._packed_coeff`)."""
 
-    __slots__ = ("label", "gens", "degs", "index", "diff", "_bounds")
+    __slots__ = ("label", "gens", "degs", "index", "diff", "diff_terms", "_bounds")
 
     def __init__(self, model: SullivanModel):
         self.label = model.label
@@ -277,6 +280,8 @@ class _PackedModel:
         self.index = {g: i for i, g in enumerate(self.gens)}
         # d of each active generator, by generator index
         self.diff = {i: model._diff[g.name] for i, g in enumerate(self.gens) if g.name in model._diff}
+        # the same, as word terms, for evaluating algebra maps on it
+        self.diff_terms = {i: self.word_terms(dv) for i, dv in self.diff.items()}
         self._bounds: dict[int, tuple[_Packing, list]] = {}
 
     def packing(self, degree: int) -> _Packing:
@@ -302,7 +307,7 @@ class _PackedModel:
             entry = self._bounds.setdefault(bound, (pk, table))
         return entry
 
-    def d_gen(self, pk: _Packing, i: int) -> dict[int, Fraction]:
+    def d_gen(self, pk: _Packing, i: int) -> dict[int, Coeff]:
         """d of the generator of index i, packed in pk, one of this view's
         packings: the terms of its row of the Leibniz table, the row of its
         field."""
@@ -319,13 +324,24 @@ class _PackedModel:
         except KeyError as exc:
             raise ModelError(f"generator {exc.args[0].name} is not in {self.label}") from None
 
-    def pack_poly(self, pk: _Packing, p: Polynomial) -> dict[int, Fraction]:
-        return dict(zip(self.pack(pk, p._terms), p._terms.values()))
+    def word_terms(self, p: Polynomial) -> list[tuple[Coeff, tuple[tuple[int, int], ...]]]:
+        """p as (packed coefficient, ((generator index, exponent), ...)) per
+        term; KeyError(g) for a generator g outside the model."""
+        index = self.index
+        return [
+            (_packed_coeff(c), tuple((index[g], e) for g, e in mono.factors))
+            for mono, c in p._terms.items()
+        ]
 
-    def polynomial(self, pk: _Packing, terms: Mapping[int, Fraction]) -> Polynomial:
+    def pack_poly(self, pk: _Packing, p: Polynomial) -> dict[int, Coeff]:
+        """p packed in pk, its integral coefficients as ints."""
+        return dict(zip(self.pack(pk, p._terms), map(_packed_coeff, p._terms.values())))
+
+    def polynomial(self, pk: _Packing, terms: Mapping[int, Coeff]) -> Polynomial:
+        """The Polynomial of packed terms; its coefficients are Fractions."""
         return Polynomial({pk.monomial(m): c for m, c in terms.items()})
 
-    def d(self, pk: _Packing, mono: int) -> dict[int, Fraction]:
+    def d(self, pk: _Packing, mono: int) -> dict[int, Coeff]:
         """Leibniz d of a monomial packed in pk, one of this view's packings,
         of a bound > |mono|.  The term of g in mono = prefix·g^e·suffix is
         rest·d(g), rest = mono - g: an odd g passes the prefix, so the sign is
@@ -335,7 +351,7 @@ class _PackedModel:
         and signed by K(T) otherwise (`_Packing.koszul`)."""
         odd = pk.odd
         parity = (mono & odd).bit_count() & 1
-        out: dict[int, Fraction] = {}
+        out: dict[int, Coeff] = {}
         for shift, mask, above, terms in self._bounds[pk.dmax][1]:
             e = mono >> shift & mask
             if not e:
@@ -360,12 +376,11 @@ class _PackedModel:
         return out
 
 
-def _add_scaled(
-    acc: dict[int, Fraction], coeff: Fraction, terms: Mapping[int, Fraction]
-) -> None:
-    """acc += coeff * terms, dropping coefficients that cancel."""
+def _add_scaled(acc: dict[int, Coeff], coeff: Coeff, terms: Mapping[int, Coeff]) -> None:
+    """acc += coeff * terms, dropping coefficients that cancel.  Sums of ints
+    stay ints; a Fraction enters only with a Fraction coeff or term."""
     for m, c in terms.items():
-        v = acc.get(m, ZERO) + coeff * c
+        v = acc.get(m, 0) + coeff * c
         if v:
             acc[m] = v
         else:
@@ -474,7 +489,7 @@ class CochainMorphism:
         source: SullivanModel,
         target: SullivanModel,
         theta: "_ImagePowers",
-        theta_d: list[dict[int, Fraction]] | None = None,
+        theta_d: list[dict[int, Coeff]] | None = None,
     ) -> "CochainMorphism":
         """The morphism whose generator images a lift or an inversion has
         built in the table theta, whose `images` holds all of them; it keeps
@@ -488,11 +503,11 @@ class CochainMorphism:
         self._check(theta_d)
         return self
 
-    def _check(self, theta_d: list[dict[int, Fraction]] | None = None) -> None:
+    def _check(self, theta_d: list[dict[int, Coeff]] | None = None) -> None:
         """Check that every image has its generator's degree and that
         d'(θ g) = θ(d g) for every generator g.  d'(θ g) is the Leibniz d of
         the packed image; θ(d g) is theta_d[i] when given, else evaluated
-        from the table."""
+        from the table on the source's packed differential."""
         source, theta = self.source, self._theta
         for g in source.generators:
             img = self.images[g.name]
@@ -503,19 +518,13 @@ class CochainMorphism:
         tgt = self.target._packed
         for i, g in enumerate(source.generators):
             pk = theta.packing(g.degree + 1)
-            lhs: dict[int, Fraction] = {}
+            lhs: dict[int, Coeff] = {}
             try:
                 for w, c in theta.power(i, 1).items():
                     _add_scaled(lhs, c, tgt.d(pk, w))
             except ModelError as exc:
                 raise MorphismError(f"image of {g.name}: {exc}") from None
-            if theta_d is not None:
-                rhs = theta_d[i]
-            else:
-                try:
-                    rhs = theta.packed(source.differential(g))
-                except ModelError as exc:
-                    raise MorphismError(str(exc)) from None
+            rhs = theta_d[i] if theta_d is not None else theta.packed_d(i)
             if lhs != rhs:
                 raise MorphismError(
                     f"not a cochain morphism: d(f({g.name})) != f(d({g.name})) "
@@ -568,6 +577,12 @@ class _ImagePowers:
     afresh, while a morphism, a lift or an inversion fills it.  A later
     call of higher degree widens it and starts the table afresh from
     `images`.
+
+    Entries follow the packed kernel's coefficient rule: ints while
+    integral, a Fraction only where an image, or a term of d(v), has a true
+    denominator.  θ(d v) is evaluated from the source's packed differential
+    (`packed_d`), a polynomial argument from its `Polynomial` (`packed`);
+    `__call__` returns a `Polynomial`, whose coefficients are Fractions.
     """
 
     __slots__ = ("_src", "_tgt", "images", "_pk", "_powers")
@@ -582,7 +597,7 @@ class _ImagePowers:
         self._tgt = target._packed
         self.images = images
         self._pk = self._tgt.packing(source.top_degree + 1)
-        self._powers: dict[tuple[int, int], dict[int, Fraction]] = {}
+        self._powers: dict[tuple[int, int], dict[int, Coeff]] = {}
 
     def packing(self, degree: int) -> _Packing:
         """The table's packing, widened first if it cannot hold `degree`."""
@@ -591,12 +606,12 @@ class _ImagePowers:
             self._powers = {}
         return self._pk
 
-    def put(self, i: int, img: dict[int, Fraction]) -> None:
+    def put(self, i: int, img: dict[int, Coeff]) -> None:
         """Enter θ(x) for the source generator x of index i, packed in the
         table's packing, before any power of it is read."""
         self._powers[(i, 1)] = img
 
-    def power(self, i: int, e: int) -> dict[int, Fraction]:
+    def power(self, i: int, e: int) -> dict[int, Coeff]:
         """θ(x)^e, packed in the table's packing, for the source generator x
         of index i."""
         powers = self._powers
@@ -621,19 +636,32 @@ class _ImagePowers:
             out = powers[(i, k)] = _mul_poly(pk, out, img)
         return out
 
-    def packed(self, p: Polynomial) -> dict[int, Fraction]:
-        """θ(p), packed in the table's packing."""
+    def packed(self, p: Polynomial) -> dict[int, Coeff]:
+        """θ(p), packed in the table's packing; ModelError for a generator
+        outside the source."""
         if not p:
             return {}
-        pk = self.packing(max(m.degree for m in p._terms))
-        index = self._src.index
-        acc: dict[int, Fraction] = {}
-        for mono, coeff in p._terms.items():
+        self.packing(max(m.degree for m in p._terms))
+        try:
+            terms = self._src.word_terms(p)
+        except KeyError as exc:
+            raise ModelError(f"generator {exc.args[0].name} is not in {self._src.label}") from None
+        return self._sum(terms)
+
+    def packed_d(self, i: int) -> dict[int, Coeff]:
+        """θ(d x), packed in the table's packing, for the source generator x
+        of index i, from the source's packed differential; the table's
+        packing holds its degree |x| + 1."""
+        return self._sum(self._src.diff_terms.get(i, ()))
+
+    def _sum(self, terms) -> dict[int, Coeff]:
+        """Σ c·θ(word) over word terms (`_PackedModel.word_terms`)."""
+        pk = self._pk
+        acc: dict[int, Coeff] = {}
+        for coeff, factors in terms:
             term = _UNIT_TERM
-            for g, e in mono.factors:
-                if g not in index:
-                    raise ModelError(f"generator {g.name} is not in {self._src.label}")
-                f = self.power(index[g], e)
+            for i, e in factors:
+                f = self.power(i, e)
                 term = f if term is _UNIT_TERM else _mul_poly(pk, term, f)
             _add_scaled(acc, coeff, term)
         return acc
@@ -643,7 +671,7 @@ class _ImagePowers:
         return self._tgt.polynomial(self._pk, terms)
 
 
-_UNIT_TERM: Mapping[int, Fraction] = {0: ONE}
+_UNIT_TERM: Mapping[int, Coeff] = {0: 1}
 
 
 def identity(m: SullivanModel) -> CochainMorphism:

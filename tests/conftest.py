@@ -1,6 +1,16 @@
 import pytest
 
+from cohaut.algebra import _enumerate
 from cohaut.corpus import BUILTIN_LABELS, load_builtin
+
+
+def packed_basis(cx, degree):
+    """The degree-`degree` basis of a cochain complex's model, packed in the
+    packing of degree + 1, in basis order (descending ints): an enumeration
+    that the library itself never makes, for oracles."""
+    if degree < 0:
+        return ()
+    return _enumerate(cx.view.degs, degree, cx.view.packing(degree + 1).shifts)
 
 
 @pytest.fixture(scope="session")

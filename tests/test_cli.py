@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -244,6 +245,43 @@ def test_json_outputs_are_byte_identical_across_runs(capsys):
     _, out3, _ = run(capsys, "cohomology", "V-ex31", "--degree", "120", "--truncate", "118", "--json")
     _, out4, _ = run(capsys, "cohomology", "V-ex31", "--degree", "120", "--truncate", "118", "--json")
     assert out3 == out4
+
+
+# a number written as a float: a decimal point or an exponent, or inf/nan
+FLOAT_TOKEN = re.compile(r"[-+]?(\d+\.\d*|\.\d+|\d+(\.\d*)?[eE][-+]?\d+|inf|nan)")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reproduce", "all"),
+        ("wes", "W-ex32", "--all-nodes"),
+        ("wes", "U3", "--all-nodes"),
+        ("coherent", "V-ex31", "--xi", "p10=1,p12=1,p41=1/2,p43=1,p45=1,p119=1"),
+    ],
+)
+def test_json_outputs_hold_no_float(capsys, argv):
+    # computed values are exact: no float literal in the document, and no
+    # token of a string (a coefficient, a class coordinate) written as one
+    _, out, _ = run(capsys, *argv, "--json")
+    floats = []
+    doc = json.loads(out, parse_float=floats.append)
+    assert floats == []
+    strings = []
+
+    def walk(x):
+        if isinstance(x, dict):
+            strings.extend(k for k in x if isinstance(k, str))
+            x = list(x.values())
+        if isinstance(x, list):
+            for y in x:
+                walk(y)
+        elif isinstance(x, str):
+            strings.append(x)
+
+    walk(doc)
+    tokens = [t for text in strings for t in re.split(r"[\s,:;{}()\[\]=*^|]+", text)]
+    assert [t for t in tokens if FLOAT_TOKEN.fullmatch(t)] == []
 
 
 @pytest.mark.parametrize(

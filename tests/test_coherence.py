@@ -1,11 +1,13 @@
+import importlib
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 import cohaut.coherence as coherence_module
+import cohaut.model as model_module
 from cohaut.algebra import Generator, Monomial, Polynomial
-from cohaut.cohomology import coboundary_matrix, solve_coboundary
+from cohaut.cohomology import coboundary_matrix, cohomology, solve_coboundary
 from cohaut import linalg
 from cohaut.corpus import load_builtin
 from cohaut.diagsolve import extract_constraints, lift_verify, solve
@@ -279,6 +281,139 @@ def test_the_closing_check_catches_a_wrong_back_substitution(monkeypatch):
     monkeypatch.setattr(coherence_module, "_ImagePowers", Doubled)
     with pytest.raises(MorphismError, match=r"d\(f\(v\)\) != f\(d\(v\)\)"):
         invert_coherent(xi, theta)
+
+
+# --- int coefficients in the packed kernel against a pure-Fraction run ---------------
+
+# `import cohaut.cohomology` would bind the function the package re-exports
+cohomology_module = importlib.import_module("cohaut.cohomology")
+XI_ENTRIES = (Q(0), Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(-1, 2))
+
+
+def _random_model(rng, label):
+    """A random valid model on generators of degrees 2..7 with weights,
+    added in ascending degree.  A degree-2 generator has weight 1.  Each
+    later v takes the weight w of a random degree-(|v|+1) monomial, and
+    d(v) is a random rational combination of a basis of the cocycles of
+    weight w in that degree of the model so far; d preserves weight, so
+    these are the kernel of its weight-w columns.  Each such monomial is
+    decomposable, since no generator has that degree yet, so the model is
+    minimal, and d(d(v)) = 0.  Returns the model and the weights by name."""
+    degrees = sorted([2, 2] + rng.sample([2, 3, 3, 4, 5, 5, 6, 7], 5))
+    gens, diff, weight = [], {}, {}
+    for i, deg in enumerate(degrees):
+        name = f"g{i}"
+        cur = SullivanModel(gens, diff, label=label)
+        basis = list(cur.basis(deg + 1))
+        weights = [sum(weight[g.name] * e for g, e in b.factors) for b in basis]
+        weight[name] = rng.choice(weights) if deg > 2 and basis else 1
+        cols = [j for j, w in enumerate(weights) if w == weight[name]]
+        dv = P.zero()
+        if cols and rng.random() < 0.85:
+            mat = [[row[j] for j in cols] for row in coboundary_matrix(cur, deg + 1)]
+            for z in linalg.nullspace(mat, len(cols)):
+                c = rng.choice((0, 1, -1, 2, Q(1, 2), Q(-1, 3)))
+                dv = dv + P({basis[j]: c * x for j, x in zip(cols, z) if x})
+        gens.append(Generator(name, deg))
+        if dv:
+            diff[name] = dv
+    m = SullivanModel(gens, diff, label=label)
+    assert m.validate().ok
+    return m, weight
+
+
+def _random_maps(rng, m, weight):
+    """Random ξ, with entries drawn from XI_ENTRIES, and the weight maps
+    x -> λ^w(x)·x for λ = -1, 2 and 1/2, which lift since d preserves
+    weight, alone and with one degree's block replaced by a random one."""
+    degrees = sorted({g.degree for g in m.generators})
+    sizes = {d: len(m.gens_of_degree(d)) for d in degrees}
+
+    def block(n):
+        return [[rng.choice(XI_ENTRIES) for _ in range(n)] for _ in range(n)]
+
+    maps = [GradedLinearMap(m, m, {d: block(n) for d, n in sizes.items()}) for _ in range(3)]
+    for lam in (Q(-1), Q(2), Q(1, 2)):
+        scaled = {
+            d: [[lam ** weight[g.name] if g is h else Q(0) for h in m.gens_of_degree(d)]
+                for g in m.gens_of_degree(d)]
+            for d in degrees
+        }
+        maps.append(GradedLinearMap(m, m, scaled))
+        d = rng.choice(degrees)
+        maps.append(GradedLinearMap(m, m, {**scaled, d: block(sizes[d])}))
+    return maps
+
+
+def _fraction_lift(xi, monkeypatch):
+    """try_lift of ξ on fresh copies of its models, with every packed
+    coefficient kept a Fraction: the packed kernel without the int rule.
+    Fresh copies build their own packed views, and a fresh complex cache
+    keeps the cohomology of their truncations apart too."""
+    with monkeypatch.context() as mp:
+        for module in (model_module, coherence_module):
+            mp.setattr(module, "_packed_coeff", lambda c: c)
+        mp.setattr(cohomology_module, "_COMPLEXES", cohomology_module._LRU(32))
+        m = xi.source
+        copy = SullivanModel(m.generators, {g.name: m.differential(g) for g in m.generators}, m.label)
+        result = try_lift(GradedLinearMap(copy, copy, xi.blocks))
+        if result.ok:
+            table = result.morphism._theta._powers.values()
+            assert all(type(c) is Q for terms in table for c in terms.values())
+    return result
+
+
+def _all_fractions(values) -> bool:
+    return all(type(c) is Q for c in values)
+
+
+def test_int_coefficients_agree_with_a_pure_fraction_run(monkeypatch):
+    rng = random.Random(2409)
+    counts = dict.fromkeys(
+        ("ok", "corrected", "obstructed", "fractional_d", "int_entries", "fraction_entries"), 0
+    )
+    for n in range(12):
+        m, weight = _random_model(rng, f"rnd{n}")
+        counts["fractional_d"] += any(
+            c.denominator != 1 for g in m.generators for _, c in m.differential(g).terms()
+        )
+        for k in sorted({g.degree for g in m.generators}):
+            for row in cohomology(m, k).linear_parts().values():
+                assert _all_fractions(row.values())
+        for xi in _random_maps(rng, m, weight):
+            result = try_lift(xi)
+            ref = _fraction_lift(xi, monkeypatch)
+            assert result.ok == ref.ok
+            assert _all_fractions(c for block in xi.blocks.values() for row in block for c in row)
+            if result.ok:
+                counts["ok"] += 1
+                theta = result.morphism
+                assert theta.images == ref.morphism.images
+                for img in theta.images.values():
+                    assert _all_fractions(c for _, c in img.terms())
+                    counts["corrected"] += any(mono.word_length > 1 for mono in img.monomials())
+                induced = induced_on_indecomposables(theta)
+                assert induced == xi
+                assert _all_fractions(c for b in induced.blocks.values() for row in b for c in row)
+                for terms in theta._theta._powers.values():
+                    for c in terms.values():
+                        counts["int_entries" if type(c) is int else "fraction_entries"] += 1
+            else:
+                counts["obstructed"] += 1
+                ob, ref_ob = result.obstruction, ref.obstruction
+                assert (ob.degree, ob.generator, ob.message) == (
+                    ref_ob.degree, ref_ob.generator, ref_ob.message
+                )
+                cls = ob.failure_class
+                assert cls.coords == ref_ob.failure_class.coords
+                assert _all_fractions(cls.coords.values())
+                h = cls.basis
+                assert _all_fractions(c for row in h.linear_parts().values() for c in row.values())
+                for rep in h.representatives():
+                    assert _all_fractions(c for _, c in rep.terms())
+    # both verdicts, stage corrections, non-integral differentials, and both
+    # kinds of packed coefficient in the lift tables
+    assert all(counts.values()), counts
 
 
 # --- invert_coherent -----------------------------------------------------------------

@@ -204,3 +204,45 @@ def test_solve_f2_affine():
 def test_rref_f2_pivots_leftmost():
     red, pivots = rref_f2([0b110, 0b011], 3)
     assert pivots == sorted(pivots)
+
+
+def _exact(values) -> bool:
+    return all(type(x) in (int, Q) for x in values)
+
+
+def test_int_matrices_reduce_exactly_with_pivots_two_and_three():
+    # pivots ±2 and ±3 divide: an int quotient must be a Fraction, never a
+    # float, and every result must equal the one from Fraction input
+    rng = random.Random(24)
+    cases = [
+        [[2, 1, 0], [3, 0, 1]],
+        [[-2, 4, 1], [0, 3, -1], [1, 1, 1]],
+        [[3, 1], [1, -3]],
+        [[0, -3, 2, 1], [2, 1, 0, -1], [-2, 0, 3, 1]],
+    ]
+    cases += [
+        [[rng.choice((0, 1, -1, 2, -2, 3, -3)) for _ in range(4)] for _ in range(3)]
+        for _ in range(30)
+    ]
+    for m in cases:
+        ref = qmatrix(m)
+        red, pivots, r = rref(m)
+        assert all(_exact(row) for row in red)
+        assert (red, pivots, r) == rref(ref)
+        kernel = nullspace(m)
+        assert all(_exact(v) for v in kernel) and kernel == nullspace(ref)
+        b = [rng.choice((0, 1, -2, 3)) for _ in m]
+        x = solve(m, b)
+        assert x == solve(ref, [Q(y) for y in b])
+        assert x is None or _exact(x)
+        if len(m) == len(m[0]):
+            d = det(m)
+            assert _exact([d]) and d == det(ref)
+            inv = inverse(m)
+            assert inv == inverse(ref)
+            assert inv is None or all(_exact(row) for row in inv)
+    # the pivot division is where a float would appear
+    red, _, _ = rref([[2, 1], [0, 3]])
+    assert red == [[1, 0], [0, 1]] and all(type(x) is not float for row in red for x in row)
+    red, _, _ = rref([[-3, 1]])
+    assert red == [[1, Q(-1, 3)]] and type(red[0][1]) is Q

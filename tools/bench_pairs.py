@@ -12,8 +12,10 @@ each workload, pair i (i = 1..pairs) runs
     python3 bench/run.py --workload W --seed i --seconds S --trace 0
 
 once in each copy, the parent first in odd pairs and the change first in
-even ones.  The copies are removed at the end.  Progress goes to standard
-error; the exit code is 1 if any run was incorrect or failed an operation.
+even ones.  Before the pairs, `tools/lift_pass.py` runs once in each copy.
+The copies are removed at the end.  Progress goes to standard error; the
+exit code is 1 if any run was incorrect or failed an operation, or if the
+two lift passes' verdict digests differ.
 
 The record (JSON, written to `--out`):
 
@@ -30,7 +32,12 @@ The record (JSON, written to `--out`):
   - `summary[metric]`: `unit`, and per side `median`, `q1`, `q3` and `iqr`
     (inclusive quartiles over the pairs), `change_lower` (the pairs in which
     the change read lower; ties count for neither), `n` (the pairs), and
-    `median_delta_pct` (change median against parent median, in percent).
+    `median_delta_pct` (change median against parent median, in percent);
+- `lift_pass`: per side `{"exit", "total_ms", "models"}`, where `models`
+  maps each builtin label, in corpus order, to `{"lifts", "ok", "ms",
+  "digest"}` as the pass printed them, and `digests_equal`, whether both
+  sides printed the same models with the same lift counts, ok counts and
+  verdict digests.
 """
 
 from __future__ import annotations
@@ -83,6 +90,30 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     out["exit"] = proc.returncode
     out["elapsed_s"] = round(elapsed, 3)
     return out
+
+
+def lift_pass(checkout: str) -> dict:
+    """One run of `tools/lift_pass.py` in `checkout`, its lines parsed:
+    `label N lifts K ok T ms DIGEST` per model and `total T ms`."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(checkout, "tools", "lift_pass.py")],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    out = {"exit": proc.returncode, "total_ms": None, "models": {}}
+    for line in proc.stdout.splitlines():
+        f = line.split()
+        if f[:1] == ["total"]:
+            out["total_ms"] = float(f[1])
+        elif len(f) == 8:
+            out["models"][f[0]] = {"lifts": int(f[1]), "ok": int(f[3]), "ms": float(f[5]),
+                                   "digest": f[7]}
+    if proc.returncode or out["total_ms"] is None:
+        out["error"] = proc.stderr[-2000:]
+    return out
+
+
+def _verdicts(run: dict) -> list:
+    return [(label, m["lifts"], m["ok"], m["digest"]) for label, m in run["models"].items()]
 
 
 def quartiles(values: list[float]) -> dict:
@@ -138,11 +169,17 @@ def main(argv: list[str] | None = None) -> int:
         "command": ["bench/run.py", "--seconds", str(args.seconds), "--trace", "0"],
         "workloads": {},
     }
-    all_ok = True
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         checkouts = {s: os.path.join(tmp, s) for s in SIDES}
         for s in SIDES:
             export(shas[s], checkouts[s])
+        passes = {s: lift_pass(checkouts[s]) for s in SIDES}
+        verdicts = [_verdicts(passes[s]) for s in SIDES]
+        equal = all("error" not in run for run in passes.values()) and verdicts[0] == verdicts[1]
+        record["lift_pass"] = {**passes, "digests_equal": equal}
+        all_ok = equal
+        print(f"lift_pass: {passes['parent']['total_ms']} -> {passes['change']['total_ms']} ms, "
+              f"digests equal: {equal}", file=sys.stderr, flush=True)
         for w in workloads:
             runs = []
             for seed in range(1, args.pairs + 1):
@@ -160,6 +197,9 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
+    lp = record["lift_pass"]
+    print(f"lift_pass total_ms {lp['parent']['total_ms']} -> {lp['change']['total_ms']}, "
+          f"digests equal: {lp['digests_equal']}")
     for w, data in record["workloads"].items():
         for name, e in data["summary"].items():
             print(f"{w:9} {name:11} {e['parent']['median']:.4g} -> {e['change']['median']:.4g} "
