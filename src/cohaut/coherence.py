@@ -256,16 +256,16 @@ def _linear_stage(
     theta_dv: dict[int, Coeff],
 ) -> tuple[dict[int, Coeff], dict[int, Coeff]]:
     """ξ(v) and the right-hand side θ(d v) - d'(ξ v) of v's stage, packed in
-    pk.  ξ(v) = Σ c·w is linear, so d'(ξ v) = Σ c·d'(w), each d'(w) read
-    from the target's Leibniz table.  An integral entry c of ξ enters as an
-    int."""
+    pk.  ξ(v) = Σ c·w is linear, so d'(ξ v) = Σ c·d'(w), each d'(w) the
+    Leibniz d of the packed generator w.  An integral entry c of ξ enters
+    as an int."""
     xi_v: dict[int, Coeff] = {}
     rhs = dict(theta_dv)
     for w, c in xi._column(v):
         c = _packed_coeff(c)
-        k = tgt.index[w]
-        xi_v[1 << pk.shifts[k]] = c
-        _add_scaled(rhs, -c, tgt.d_gen(pk, k))
+        word = 1 << pk.shifts[tgt.index[w]]
+        xi_v[word] = c
+        _add_scaled(rhs, -c, tgt.d(pk, word))
     return xi_v, rhs
 
 

@@ -64,9 +64,9 @@ enumerates no basis of ΛV and builds no column.  Windows are built on ΛV's
 own columns.
 
 A truncation ΛV^{<=c} is a model of its own (`SullivanModel.truncate`, one
-object per cutoff), so its cohomology has the one path every model has: its
-own complex, with its ranks and windows, in `complex_for`.  Equal cuts are
-equal models and share that complex.  Generators that only the dropped ones
+object per set of generators kept), so its cohomology has the one path every
+model has: its own complex, with its ranks and windows, in `complex_for`.
+Equal cuts are equal models and share that complex.  Generators that only the dropped ones
 use become free in the cut, so its ranks may come from a core by the Künneth
 formula above.
 
@@ -76,7 +76,10 @@ block is the closure of the queried monomials over the edges u -> M of
 d: degree k-1 -> k.  Forward edges are the terms of d(u).  Backward edges come
 from divisibility: d is a derivation, so M is a term of d(u) only if
 u = (M/t)·v for a generator v and a term t of d(v) dividing M; each such
-candidate is kept if M survives in d(u).  The closure is exact: d(u) lies in
+candidate is kept if M survives in d(u).  The pairs (v, t), with the field
+and exponent of each letter of t, are read from the packed view's Leibniz
+table (`_PackedModel.table`), so a block packs no `Polynomial`.  The
+closure is exact: d(u) lies in
 u's block, so a relation Σ aᵢMᵢ = d(Σ bⱼuⱼ) restricts to the blocks of the
 Mᵢ.  `solve_coboundary` orders the block's columns by basis order
 (descending packed ints, as `_enumerate` lists them).  The
@@ -175,12 +178,12 @@ class _Complex:
         self._ranks: dict[int, int] = {}
         # templates of the active words, by (packing bound, word degree)
         self._templates: dict[tuple[int, int], list[tuple[int, list[tuple[int, int, Fraction]]]]] = {}
-        diff = view.diff
+        diff = view.diff_terms
         n = len(view.degs)
         self._active = tuple(i for i in range(n) if i in diff)
         self._closed = tuple(i for i in range(n) if i not in diff)
-        # free generators: closed, and a factor of no term of any differential
-        used = {view.index[g] for dv in diff.values() for t in dv._terms for g, _ in t.factors}
+        # free generators: closed, and a letter of no term of any differential
+        used = {j for dv in diff.values() for _, letters in dv for j, _ in letters}
         self._free = [i for i in self._closed if i not in used]
         self._core: _Complex | None = None
 
@@ -614,16 +617,19 @@ class _Window:
 class CohomologyBasis:
     """Basis of H^k(model): deterministic representatives and coordinates.
 
-    The window is that of the model's own complex (`complex_for`), for a
-    truncation as for any model.  Polynomials are converted at this
-    boundary, in the window's packing; `class_of` takes d in the model
-    first, so a generator outside the model raises ModelError.  Positions
-    are class coordinates: class i is the i-th in the window's layout.
+    The model must pass validation (ModelError otherwise), so nothing is
+    computed on a non-complex.  The window is that of the model's own
+    complex (`complex_for`), for a truncation as for any model.
+    Polynomials are converted at this boundary, in the window's packing;
+    `class_of` takes d in the model first, so a generator outside the model
+    raises ModelError.  Positions are class coordinates: class i is the
+    i-th in the window's layout.
     """
 
     __slots__ = ("model", "degree", "dimension", "_window")
 
     def __init__(self, model: SullivanModel, degree: int):
+        model.require_valid()
         self.model = model
         self.degree = degree
         self._window = complex_for(model).window(degree)
@@ -735,38 +741,31 @@ def _block(view: _PackedModel, pk: _Packing, monos: list[int]) -> dict[int, dict
     """The degree-(k-1) side of the local block of some degree-k monomials,
     packed in pk: each u with a term of d(u) in the closure of `monos` over
     the edges u -> M (M a term of d(u)), mapped to its column d(u); see the
-    module docstring.  A term T of d(v) divides M when no letter has a higher
-    exponent in T than in M."""
-    index = view.index
-    terms = [  # (v, v odd, T, the (shift, mask, exponent) of each letter of T) per term T of d(v)
-        (
-            1 << pk.shifts[v],
-            view.degs[v] % 2,
-            t,
-            [(pk.shifts[index[g]], pk.masks[index[g]], e) for g, e in mono.factors],
-        )
-        for v, dv in view.diff.items()
-        for t, mono in zip(view.pack(pk, dv._terms), dv._terms)
-    ]
+    module docstring.  The candidates come from the view's Leibniz table: a
+    term T of d(v) divides M when no letter of T has a higher exponent in T
+    than in M."""
+    table = view.table(pk).values()
     seen = set(monos)
     todo = list(dict.fromkeys(monos))
     cols: dict[int, dict[int, Fraction]] = {}
     while todo:
         big = todo.pop()
-        for v, v_odd, t, letters in terms:
-            if any(big >> shift & mask < e for shift, mask, e in letters):
-                continue
-            rest = big - t
-            u = rest + v
-            if v_odd and rest & v or u in cols:
-                continue
-            col = view.d(pk, u)
-            if big in col:  # else the term cancels in d(u)
-                cols[u] = col
-                for hit in col:
-                    if hit not in seen:
-                        seen.add(hit)
-                        todo.append(hit)
+        for shift, _, above, terms in table:
+            v = 1 << shift
+            for t, _, _, letters in terms:
+                if any(big >> s & mask < e for s, mask, e in letters):
+                    continue
+                rest = big - t
+                u = rest + v
+                if above is not None and rest & v or u in cols:
+                    continue  # an odd v squares to 0, or u is known
+                col = view.d(pk, u)
+                if big in col:  # else the term cancels in d(u)
+                    cols[u] = col
+                    for hit in col:
+                        if hit not in seen:
+                            seen.add(hit)
+                            todo.append(hit)
     return cols
 
 

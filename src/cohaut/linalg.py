@@ -117,34 +117,6 @@ def solve(m: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vector | No
     return x
 
 
-def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by fraction-free-ish elimination (small matrices only)."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("det of a non-square matrix")
-    a = [[Q(x) for x in row] for row in m]
-    sign = 1
-    result = Q(1)
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if a[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return Q(0)
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            sign = -sign
-        result *= a[c][c]
-        inv = ONE / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return sign * result
-
-
 def inverse(m: Sequence[Sequence[Fraction]]) -> Matrix | None:
     n = len(m)
     if any(len(row) != n for row in m):

@@ -4,12 +4,14 @@ A model is a finite list of generators of degree >= 2 together with a
 degree +1 differential sending each generator to a decomposable polynomial.
 Models are immutable; equality and hashing are structural (generators plus
 differential), ignoring the label, so equal models share the caches keyed by
-model (the cohomology complexes).  A model keeps the truncation it returns for
-each cutoff, so every `truncate(n)` of one model is one object.
+model (the cohomology complexes).  A model keeps one truncation per set of
+generators kept, so every `truncate(n)` between two generator degrees is one
+object, and a model keeps at most one cut per generator.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -184,16 +186,19 @@ class SullivanModel:
     # -- construction helpers --------------------------------------------------
 
     def truncate(self, n: int) -> "SullivanModel":
-        """Sub-model ΛV^{<=n} with the restricted differential, built once
-        per cutoff n and kept (as `self` when nothing is cut)."""
+        """Sub-model ΛV^{<=n} with the restricted differential (`self` when
+        nothing is cut).  Cuts are kept by the number of generators kept, so
+        every n between two generator degrees gives one object, labelled
+        "{label}<={g - 1}" for the degree g of the first dropped generator."""
         if n < 0:
             raise ModelError("truncation cutoff must be >= 0")
-        if n >= self.top_degree:
+        count = bisect.bisect_right(self.generators, n, key=lambda g: g.degree)
+        if count == len(self.generators):
             return self
-        trunc = self._truncations.get(n)
+        trunc = self._truncations.get(count)
         if trunc is not None:
             return trunc
-        kept = tuple(g for g in self.generators if g.degree <= n)
+        kept = self.generators[:count]
         kept_names = {g.name for g in kept}
         diff = {}
         for g in kept:
@@ -206,7 +211,8 @@ class SullivanModel:
                         f"differential of {g.name} leaves ΛV^(<={n}); parent is not minimal"
                     )
             diff[g.name] = dg
-        return self._truncations.setdefault(n, SullivanModel(kept, diff, label=f"{self.label}<={n}"))
+        label = f"{self.label}<={self.generators[count].degree - 1}"
+        return self._truncations.setdefault(count, SullivanModel(kept, diff, label=label))
 
     def relabel(self, label: str) -> "SullivanModel":
         return SullivanModel(self.generators, self._diff, label=label, warnings=self.warnings)
@@ -266,56 +272,56 @@ class SullivanModel:
 
 
 class _PackedModel:
-    """The packed view of one model: its generators and differential, and per
-    degree bound the one packing of that bound (see the packed kernel in
-    algebra.py) with the Leibniz table of d in it.  Packed coefficients are
-    ints while integral (`algebra._packed_coeff`)."""
+    """The packed view of one model: its generators, its differential, kept
+    once, as word terms (`diff_terms`), and per degree bound the one packing
+    of that bound (see the packed kernel in algebra.py) with the Leibniz
+    table of d in it (`table`).  Packed coefficients are ints while integral
+    (`algebra._packed_coeff`)."""
 
-    __slots__ = ("label", "gens", "degs", "index", "diff", "diff_terms", "_bounds")
+    __slots__ = ("label", "gens", "degs", "index", "diff_terms", "_bounds")
 
     def __init__(self, model: SullivanModel):
         self.label = model.label
         self.gens = model.generators
         self.degs = tuple(g.degree for g in self.gens)
         self.index = {g: i for i, g in enumerate(self.gens)}
-        # d of each active generator, by generator index
-        self.diff = {i: model._diff[g.name] for i, g in enumerate(self.gens) if g.name in model._diff}
-        # the same, as word terms, for evaluating algebra maps on it
-        self.diff_terms = {i: self.word_terms(dv) for i, dv in self.diff.items()}
-        self._bounds: dict[int, tuple[_Packing, list]] = {}
+        # d of each active generator as word terms, by generator index
+        self.diff_terms = {
+            i: self.word_terms(model._diff[g.name])
+            for i, g in enumerate(self.gens)
+            if g.name in model._diff
+        }
+        self._bounds: dict[int, tuple[_Packing, dict[int, tuple]]] = {}
 
     def packing(self, degree: int) -> _Packing:
         """The packing of monomials of degree <= `degree` (one per bound)."""
         return self._bound(degree)[0]
 
-    def _bound(self, degree: int) -> tuple[_Packing, list]:
+    def table(self, pk: _Packing) -> dict[int, tuple]:
+        """The Leibniz table of d in pk, one of this view's packings, keyed by
+        generator index: per active generator, its field's shift and mask,
+        the mask of the odd fields above it (None for an even generator), and
+        per term c·T of its d, (T, K(T), c, letters), with the (shift, mask,
+        exponent) of each letter of T."""
+        return self._bounds[pk.dmax][1]
+
+    def _bound(self, degree: int) -> tuple[_Packing, dict[int, tuple]]:
         bound = _packing_bound(degree)
         entry = self._bounds.get(bound)
         if entry is None:
-            # per active generator g: its field, the mask of the odd fields
-            # above it (None for an even g), and (T, K(T), c) per term c·T of d(g)
             pk = _Packing(self.gens, bound)
-            table = [
-                (
-                    pk.shifts[i],
-                    pk.masks[i],
-                    pk.odd & -(2 << pk.shifts[i]) if self.degs[i] % 2 else None,
-                    [(t, pk.koszul(t), c) for t, c in self.pack_poly(pk, dg).items()],
-                )
-                for i, dg in self.diff.items()
-            ]
+            shifts, masks = pk.shifts, pk.masks
+            table = {}
+            for i, terms in self.diff_terms.items():
+                rows = []
+                for c, factors in terms:
+                    letters = tuple((shifts[j], masks[j], e) for j, e in factors)
+                    t = sum(e << shift for shift, _, e in letters)
+                    rows.append((t, pk.koszul(t), c, letters))
+                above = pk.odd & -(2 << shifts[i]) if self.degs[i] % 2 else None
+                table[i] = (shifts[i], masks[i], above, rows)
             entry = self._bounds.setdefault(bound, (pk, table))
         return entry
-
-    def d_gen(self, pk: _Packing, i: int) -> dict[int, Coeff]:
-        """d of the generator of index i, packed in pk, one of this view's
-        packings: the terms of its row of the Leibniz table, the row of its
-        field."""
-        field = pk.shifts[i]
-        for shift, _, _, terms in self._bounds[pk.dmax][1]:
-            if shift == field:
-                return {t: c for t, _, c in terms}
-        return {}
 
     def pack(self, pk: _Packing, monos: Iterable[Monomial]) -> list[int]:
         """The monomials packed in pk; ModelError for a generator outside the model."""
@@ -352,7 +358,7 @@ class _PackedModel:
         odd = pk.odd
         parity = (mono & odd).bit_count() & 1
         out: dict[int, Coeff] = {}
-        for shift, mask, above, terms in self._bounds[pk.dmax][1]:
+        for shift, mask, above, terms in self._bounds[pk.dmax][1].values():
             e = mono >> shift & mask
             if not e:
                 continue
@@ -361,7 +367,7 @@ class _PackedModel:
                 head = -e if parity else e
             else:
                 head = -1 if (mono & above).bit_count() & 1 else 1
-            for t, kt, c in terms:
+            for t, kt, c, _ in terms:
                 if rest & t & odd:
                     continue
                 val = -head * c if (rest & kt).bit_count() & 1 else head * c

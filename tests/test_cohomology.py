@@ -24,9 +24,9 @@ from cohaut.cohomology import (
     solve_coboundary,
 )
 from cohaut.corpus import BUILTIN_LABELS, load_builtin
-from cohaut.model import CochainMorphism, ModelError, SullivanModel, identity
+from cohaut.model import CochainMorphism, ModelError, SullivanModel, _PackedModel, identity
 from conftest import packed_basis
-from test_model import _even_active_model
+from test_model import _even_active_model, _not_closed
 
 P = Polynomial
 cohomology_module = importlib.import_module("cohaut.cohomology")
@@ -585,6 +585,33 @@ def test_solve_coboundary_keeps_basis_order_in_a_wide_block(V):
         u = solve_coboundary(t, 98, rhs)
         assert u == P.monomial(mono((x1, 4), (x2, 1), (y3, 1)), Q(-2, 3))
         assert u == _dense_solve_coboundary(t, 98, rhs)
+
+
+def test_local_blocks_read_the_leibniz_table_and_pack_nothing(monkeypatch):
+    # the block of the terms of d(v) holds v itself
+    cases = []
+    for label in BUILTIN_LABELS:
+        m = load_builtin(label)
+        view = m._packed
+        for v in m.generators:
+            if m.differential(v):
+                pk = view.packing(v.degree + 1)
+                monos = view.pack(pk, m.differential(v).monomials())
+                cases.append((view, pk, monos, cohomology_module._block(view, pk, monos)))
+                assert 1 << pk.shifts[view.index[v]] in cases[-1][-1]
+
+    def forbidden(*args):
+        raise AssertionError("a local block packed a Polynomial")
+
+    monkeypatch.setattr(_PackedModel, "pack", forbidden)
+    monkeypatch.setattr(_PackedModel, "word_terms", forbidden)
+    for view, pk, monos, cols in cases:
+        assert cohomology_module._block(view, pk, monos) == cols
+
+
+def test_cohomology_refuses_a_non_complex():
+    with pytest.raises(ModelError, match="d ∘ d = 0 on generators"):
+        cohomology(_not_closed(), 4)
 
 
 def test_local_block_is_closed_over_chains():

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction as Q
 
 from cohaut.linalg import (
-    det,
     identity,
     integer_solve,
     inverse,
@@ -19,6 +18,7 @@ from cohaut.linalg import (
     solve_f2,
     sparse_rank,
 )
+from conftest import det
 
 
 def test_rref_identity():

@@ -17,7 +17,7 @@ from cohaut.algebra import (
 )
 from cohaut.coherence import GradedLinearMap, invert_coherent, try_lift
 from cohaut.cohomology import coboundary_matrix
-from cohaut.corpus import load_builtin
+from cohaut.corpus import BUILTIN_LABELS, load_builtin
 from cohaut.model import (
     CochainMorphism,
     ModelError,
@@ -260,11 +260,53 @@ def test_a_model_builds_each_truncation_once():
     m = load_builtin("V-ex31")  # generator degrees 10, 12, 41, 43, 45, 119
     assert m.truncate(40) is m.truncate(40)
     assert m.truncate(119) is m and m.truncate(500) is m
-    assert 119 not in m._truncations and 500 not in m._truncations
-    # two cuts that keep the same generators are equal models with their own labels
+    assert max(m._truncations, default=0) < len(m.generators)
+    # two cutoffs that keep the same generators give one cut, labelled by the
+    # cutoff just below the first dropped generator
     a, b = m.truncate(13), m.truncate(40)
-    assert a == b and a is not b
-    assert (a.label, b.label) == (f"{m.label}<=13", f"{m.label}<=40")
+    assert a is b and a.label == f"{m.label}<=40"
+
+
+def test_every_cutoff_keeps_its_generators_in_one_cut_per_generator_set(monkeypatch):
+    fresh = [load_builtin(label).relabel(label) for label in BUILTIN_LABELS]  # no cut yet
+    built = []
+    init = SullivanModel.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SullivanModel, "__init__", spy)
+    cuts = {}
+    for m in fresh:
+        for n in range(m.top_degree):
+            t = m.truncate(n)
+            assert t.generators == tuple(g for g in m.generators if g.degree <= n)
+            assert all(t.differential(g) == m.differential(g) for g in t.generators)
+            assert t.label == f"{m.label}<={m.generators[len(t.generators)].degree - 1}"
+            cuts[id(t)] = t
+    assert len(built) == len(cuts) == 162
+
+
+@pytest.mark.parametrize("label", BUILTIN_LABELS)
+def test_the_leibniz_table_holds_each_differential_and_its_letters(label):
+    m = load_builtin(label)
+    gamma_cuts = {m.truncate(g.degree - 1) for g in m.generators}  # Γ^{n+1} reads ΛV^{<=n-1}
+    for model in (m, *gamma_cuts):
+        view = model._packed
+        active = [i for i, g in enumerate(model.generators) if model.differential(g)]
+        for bound in (128, 256):
+            pk = view.packing(bound)
+            table = view.table(pk)
+            assert pk.dmax == bound and sorted(table) == active
+            fields = set(zip(pk.shifts, pk.masks))
+            for i, (shift, mask, above, terms) in table.items():
+                dg = view.pack_poly(pk, model.differential(model.generators[i]))
+                assert (shift, mask) == (pk.shifts[i], pk.masks[i])
+                assert view.d(pk, 1 << shift) == dg == {t: c for t, _, c, _ in terms}
+                for t, kt, _, letters in terms:
+                    assert {(s, mk) for s, mk, _ in letters} <= fields
+                    assert sum(e << s for s, _, e in letters) == t and kt == pk.koszul(t)
 
 
 # --- extend_tower ----------------------------------------------------------------

@@ -12,10 +12,11 @@ each workload, pair i (i = 1..pairs) runs
     python3 bench/run.py --workload W --seed i --seconds S --trace 0
 
 once in each copy, the parent first in odd pairs and the change first in
-even ones.  Before the pairs, `tools/lift_pass.py` runs once in each copy.
-The copies are removed at the end.  Progress goes to standard error; the
-exit code is 1 if any run was incorrect or failed an operation, or if the
-two lift passes' verdict digests differ.
+even ones.  Before the pairs, `tools/lift_pass.py` and `tools/corpus_wes.py`
+run once in each copy.  The copies are removed at the end.  Progress goes to
+standard error; the exit code is 1 if any run was incorrect or failed an
+operation, if the two lift passes' verdict digests differ, or if the two
+corpus passes' WES digests or check counts differ.
 
 The record (JSON, written to `--out`):
 
@@ -37,7 +38,14 @@ The record (JSON, written to `--out`):
   maps each builtin label, in corpus order, to `{"lifts", "ok", "ms",
   "digest"}` as the pass printed them, and `digests_equal`, whether both
   sides printed the same models with the same lift counts, ok counts and
-  verdict digests.
+  verdict digests;
+- `corpus_wes`: per side `{"exit", "total_s", "models"}`, where `models`
+  maps each builtin label, in corpus order, to `{"s", "checks", "ok",
+  "windows", "blocks", "digest"}` as the pass printed them (seconds for
+  build + check, exactness checks, whether all passed, windows built, blocks
+  with two or more degree-k members, WES node digest), and `digests_equal`,
+  whether both sides printed the same models with the same check counts,
+  verdicts and digests.
 """
 
 from __future__ import annotations
@@ -92,13 +100,18 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return out
 
 
+def _tool(checkout: str, name: str) -> subprocess.CompletedProcess:
+    """One run of `tools/<name>` in `checkout`."""
+    return subprocess.run(
+        [sys.executable, os.path.join(checkout, "tools", name)],
+        cwd=checkout, capture_output=True, text=True,
+    )
+
+
 def lift_pass(checkout: str) -> dict:
     """One run of `tools/lift_pass.py` in `checkout`, its lines parsed:
     `label N lifts K ok T ms DIGEST` per model and `total T ms`."""
-    proc = subprocess.run(
-        [sys.executable, os.path.join(checkout, "tools", "lift_pass.py")],
-        cwd=checkout, capture_output=True, text=True,
-    )
+    proc = _tool(checkout, "lift_pass.py")
     out = {"exit": proc.returncode, "total_ms": None, "models": {}}
     for line in proc.stdout.splitlines():
         f = line.split()
@@ -112,8 +125,30 @@ def lift_pass(checkout: str) -> dict:
     return out
 
 
-def _verdicts(run: dict) -> list:
-    return [(label, m["lifts"], m["ok"], m["digest"]) for label, m in run["models"].items()]
+def corpus_wes(checkout: str) -> dict:
+    """One run of `tools/corpus_wes.py` in `checkout`, its lines parsed: per
+    model `label T s N checks ok=B W windows P pairs C in check X complexes
+    K blocks E exact U unclosed DIGEST`, and `total T s`."""
+    proc = _tool(checkout, "corpus_wes.py")
+    out = {"exit": proc.returncode, "total_s": None, "models": {}}
+    for line in proc.stdout.splitlines():
+        f = line.split()
+        if f[:1] == ["total"]:
+            out["total_s"] = float(f[1])
+        elif len(f) == 22:
+            out["models"][f[0]] = {"s": float(f[1]), "checks": int(f[3]), "ok": f[5] == "ok=True",
+                                   "windows": int(f[6]), "blocks": int(f[15]), "digest": f[21]}
+    if proc.returncode or out["total_s"] is None:
+        out["error"] = proc.stderr[-2000:]
+    return out
+
+
+def compare(runs: dict, fields: tuple[str, ...]) -> bool:
+    """Whether both sides' passes ran cleanly and printed the same models
+    with the same `fields`."""
+    rows = [[(label, *(m[f] for f in fields)) for label, m in runs[s]["models"].items()]
+            for s in SIDES]
+    return all("error" not in run for run in runs.values()) and rows[0] == rows[1]
 
 
 def quartiles(values: list[float]) -> dict:
@@ -174,12 +209,16 @@ def main(argv: list[str] | None = None) -> int:
         for s in SIDES:
             export(shas[s], checkouts[s])
         passes = {s: lift_pass(checkouts[s]) for s in SIDES}
-        verdicts = [_verdicts(passes[s]) for s in SIDES]
-        equal = all("error" not in run for run in passes.values()) and verdicts[0] == verdicts[1]
+        equal = compare(passes, ("lifts", "ok", "digest"))
         record["lift_pass"] = {**passes, "digests_equal": equal}
-        all_ok = equal
         print(f"lift_pass: {passes['parent']['total_ms']} -> {passes['change']['total_ms']} ms, "
               f"digests equal: {equal}", file=sys.stderr, flush=True)
+        corpus = {s: corpus_wes(checkouts[s]) for s in SIDES}
+        corpus_equal = compare(corpus, ("checks", "ok", "digest"))
+        record["corpus_wes"] = {**corpus, "digests_equal": corpus_equal}
+        print(f"corpus_wes: {corpus['parent']['total_s']} -> {corpus['change']['total_s']} s, "
+              f"digests equal: {corpus_equal}", file=sys.stderr, flush=True)
+        all_ok = equal and corpus_equal
         for w in workloads:
             runs = []
             for seed in range(1, args.pairs + 1):
@@ -197,9 +236,11 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
-    lp = record["lift_pass"]
+    lp, cw = record["lift_pass"], record["corpus_wes"]
     print(f"lift_pass total_ms {lp['parent']['total_ms']} -> {lp['change']['total_ms']}, "
           f"digests equal: {lp['digests_equal']}")
+    print(f"corpus_wes total_s {cw['parent']['total_s']} -> {cw['change']['total_s']}, "
+          f"digests equal: {cw['digests_equal']}")
     for w, data in record["workloads"].items():
         for name, e in data["summary"].items():
             print(f"{w:9} {name:11} {e['parent']['median']:.4g} -> {e['change']['median']:.4g} "
