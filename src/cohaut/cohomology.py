@@ -66,9 +66,9 @@ own columns.
 A truncation ΛV^{<=c} is a model of its own (`SullivanModel.truncate`, one
 object per set of generators kept), so its cohomology has the one path every
 model has: its own complex, with its ranks and windows, in `complex_for`.
-Equal cuts are equal models and share that complex.  Generators that only the dropped ones
-use become free in the cut, so its ranks may come from a core by the Künneth
-formula above.
+Equal cuts are equal models and share that complex.  Generators that only
+the dropped ones use become free in the cut, so its ranks may come from a
+core by the Künneth formula above.
 
 Questions about a few degree-k monomials (`residues_independent`,
 `solve_coboundary`) are answered on their local block, not on a window.  The
@@ -79,14 +79,14 @@ u = (M/t)·v for a generator v and a term t of d(v) dividing M; each such
 candidate is kept if M survives in d(u).  The pairs (v, t), with the field
 and exponent of each letter of t, are read from the packed view's Leibniz
 table (`_PackedModel.table`), so a block packs no `Polynomial`.  The
-closure is exact: d(u) lies in
-u's block, so a relation Σ aᵢMᵢ = d(Σ bⱼuⱼ) restricts to the blocks of the
-Mᵢ.  `solve_coboundary` orders the block's columns by basis order
-(descending packed ints, as `_enumerate` lists them).  The
-system of the whole degree is block-diagonal, and the pivot columns of a
-block-diagonal matrix are the union of each block's pivot columns in any
-interleaving, so the free-variables-zero solution is the one the whole
-degree-k system gives; blocks with a zero right-hand side contribute 0.
+closure is exact: d(u) lies in u's block, so a relation Σ aᵢMᵢ = d(Σ bⱼuⱼ)
+restricts to the blocks of the Mᵢ.  `solve_coboundary` orders the block's
+columns by basis order (descending packed ints, as `_enumerate` lists
+them).  The system of the whole degree is block-diagonal, and the pivot
+columns of a block-diagonal matrix are the union of each block's pivot
+columns in any interleaving, so the free-variables-zero solution is the one
+the whole degree-k system gives; blocks with a zero right-hand side
+contribute 0.
 
 Column entries are the packed kernel's coefficients, ints while integral
 (algebra.py), so blocks are eliminated in int arithmetic until a pivot
